@@ -1,20 +1,36 @@
-"""Vectorized exact integer determinants for large enumeration workloads.
+"""The one minor kernel: a colex Laplace step over column subsets.
 
-All arithmetic stays in int64; callers must pre-check growth with
-``fits_int64`` and fall back to pure Python big-int paths when it fails.
-Determinants are computed by Laplace expansion along the first ``n // 2``
-rows, which uses only multiply/add (no divisions, no pivoting), so the
-intermediate magnitude is bounded by ``n! * b**n`` for entry bound ``b``.
+Every scan over subdeterminants expands its minors here, one row at a time.
+A state holds, for each k-subset S of n columns in colexicographic order,
+the determinant of some fixed k rows restricted to S. One step puts a new
+row on top of those rows:
+
+    state'[S] = sum over p of (-1)**p * row[S_p] * state[S minus S_p]
+
+so all minors of a level are shared by every subset of the next. Leading
+batch axes carry independent row stacks through the same step.
+
+Arrays are int64 when ``fits_int64`` certifies that no minor can overflow,
+and ``dtype=object`` (exact Python ints) otherwise; the step is the same
+code for both. A scan whose largest level would need more than
+``MAX_SCAN_BYTES`` of index tables, states and step temporaries is refused
+with a ``ValueError`` before any work starts.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
 _INT64_HEADROOM = 2 ** 62
+MAX_SCAN_BYTES = 1 << 30
+# One state entry: an int64, or an object pointer plus a small Python int.
+_ITEM_BYTES = {np.dtype(np.int64): 8, np.dtype(object): 40}
+
+# k -> (combos, prev_rank) for the largest column count built so far; the
+# tables for fewer columns are prefixes of these.
+_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def fits_int64(n: int, entry_bound: int) -> bool:
@@ -22,57 +38,108 @@ def fits_int64(n: int, entry_bound: int) -> bool:
     return factorial(n) * (max(1, entry_bound) ** n) < _INT64_HEADROOM
 
 
-def batched_det(a: np.ndarray) -> np.ndarray:
-    """Exact determinants of a stack of square int64 matrices.
+def scan_dtype(n: int, entry_bound: int) -> np.dtype:
+    """int64 when minors up to n x n fit, else exact Python ints."""
+    return np.dtype(np.int64 if fits_int64(n, entry_bound) else object)
 
-    ``a`` has shape (..., n, n); the result has shape (...). Computed by a
-    bitmask dynamic program over leading-row minors (Laplace expansion one
-    row at a time), which needs no divisions or pivoting.
+
+def colex_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables of one Laplace level over the k-subsets of range(n).
+
+    Both have shape (k, C(n, k)), columns in colex order: ``combos[p, s]``
+    is element p of subset s, and ``prev_rank[p, s]`` is the colex rank of
+    subset s without that element. The colex k-subsets of range(t) are the
+    first C(t, k) subsets of range(n), so one table per k serves every n.
+    """
+    size = comb(n, k)
+    cached = _TABLES.get(k)
+    if cached is None or cached[0].shape[1] < size:
+        cached = _TABLES[k] = _build_level(n, k)
+    combos, prev_rank = cached
+    return combos[:, :size], prev_rank[:, :size]
+
+
+def _build_level(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    if k == 1:
+        return (np.arange(n, dtype=np.intp)[None, :],
+                np.zeros((1, n), dtype=np.intp))
+    below_combos, below_rank = colex_tables(n, k - 1)
+    combos = np.empty((k, comb(n, k)), dtype=np.intp)
+    prev_rank = np.empty_like(combos)
+    start = 0
+    # Subsets with largest element `top`, in colex order: a (k-1)-subset of
+    # range(top), then top. Dropping `top` leaves that subset itself;
+    # dropping another element keeps `top`, which adds C(top, k-1) to the rank.
+    for top in range(k - 1, n):
+        width = comb(top, k - 1)
+        block = slice(start, start + width)
+        combos[:-1, block] = below_combos[:, :width]
+        combos[-1, block] = top
+        np.add(below_rank[:, :width], width, out=prev_rank[:-1, block])
+        prev_rank[-1, block] = np.arange(width)
+        start += width
+    return combos, prev_rank
+
+
+def colex_unrank(k: int, idx: int) -> tuple[int, ...]:
+    """The k-subset with colex rank ``idx``."""
+    out = []
+    for kk in range(k, 0, -1):
+        c = kk - 1
+        while comb(c + 1, kk) <= idx:
+            c += 1
+        out.append(c)
+        idx -= comb(c, kk)
+    return tuple(reversed(out))
+
+
+def check_scan_size(n: int, depth: int, batch: int, dtype: np.dtype) -> None:
+    """Refuse a scan of levels 1..depth over n columns that would not fit.
+
+    Level k holds its two index tables, the previous and the new state of
+    every batch entry, and three state-sized temporaries of the step.
+    """
+    item = _ITEM_BYTES[np.dtype(dtype)]
+    need = max((16 * k * comb(n, k)
+                + item * batch * (comb(n, k - 1) + 4 * comb(n, k))
+                for k in range(1, depth + 1)), default=0)
+    if need > MAX_SCAN_BYTES:
+        raise ValueError(
+            f"refusing a minor scan of size {depth} over {n} columns x "
+            f"{batch} row subset(s): it needs about {need / 2 ** 30:.1f} GiB, "
+            f"above the {MAX_SCAN_BYTES / 2 ** 30:.0f} GiB limit")
+
+
+def laplace_step(row: np.ndarray, state: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Extend level-(k-1) minors by one row on top: shape (..., C(n, k)).
+
+    ``row`` has shape (..., n) and ``state`` (..., C(n, k-1)), both int64
+    or both object; the caller guarantees that int64 cannot overflow.
+    """
+    combos, prev_rank = colex_tables(n, k)
+    acc = row.take(combos[0], axis=-1)
+    acc *= state.take(prev_rank[0], axis=-1)
+    for p in range(1, k):
+        term = row.take(combos[p], axis=-1)
+        term *= state.take(prev_rank[p], axis=-1)
+        if p % 2:
+            acc -= term
+        else:
+            acc += term
+    return acc
+
+
+def batched_det(a: np.ndarray) -> np.ndarray:
+    """Exact determinants of a stack of square matrices.
+
+    ``a`` has shape (..., n, n); the result has shape (...). The rows go
+    through ``laplace_step`` from the last to the first, so the single
+    n-subset of the final level is the determinant itself.
     """
     n = a.shape[-1]
     if a.shape[-2] != n:
         raise ValueError("matrices must be square")
-    if n == 1:
-        return a[..., 0, 0].copy()
-    if n == 2:
-        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    if n == 3:
-        return (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
-                - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
-                + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
-    a = np.ascontiguousarray(a)
-    prev = {1 << c: a[..., 0, c] for c in range(n)}
-    scratch = np.empty(a.shape[:-2], dtype=np.int64)
-    for level in range(1, n):
-        row = a[..., level, :]
-        cur: dict[int, np.ndarray] = {}
-        for subset in combinations(range(n), level + 1):
-            mask = 0
-            for c in subset:
-                mask |= 1 << c
-            acc = None
-            for pos, c in enumerate(subset):
-                minor = prev[mask ^ (1 << c)]
-                if acc is None:
-                    acc = row[..., c] * minor
-                    if (level + pos) % 2:
-                        np.negative(acc, out=acc)
-                else:
-                    np.multiply(row[..., c], minor, out=scratch)
-                    if (level + pos) % 2:
-                        np.subtract(acc, scratch, out=acc)
-                    else:
-                        np.add(acc, scratch, out=acc)
-            cur[mask] = acc
-        prev = cur
-    return prev[(1 << n) - 1]
-
-
-def gather_submatrices(m: np.ndarray, row_sets: np.ndarray,
-                       col_sets: np.ndarray) -> np.ndarray:
-    """Stack m[rows, cols] for every (row_set, col_set) pair.
-
-    ``row_sets`` is (nr, k), ``col_sets`` is (nc, k); the result is
-    (nr, nc, k, k), indexed row-set-major.
-    """
-    return m[row_sets[:, None, :, None], col_sets[None, :, None, :]]
+    state = np.ones(a.shape[:-2] + (1,), dtype=a.dtype)
+    for k in range(1, n + 1):
+        state = laplace_step(a[..., n - k, :], state, n, k)
+    return state[..., 0]

@@ -3,26 +3,22 @@
 Determinants use fraction-free (Bareiss) elimination over Python ints, so
 results are exact for any entry size. The naive cofactor expansion is kept
 as an independent test oracle. Subdeterminant maxima are found by brute
-enumeration over row and column subsets; an int64-vectorized path handles
-large enumerations and is guarded against overflow, falling back to the
-big-int loop otherwise.
+enumeration over row and column subsets with the shared minor kernel of
+``_batch``: int64 when its growth guard allows, exact Python ints in numpy
+object arrays otherwise, and refused with ``ValueError`` when the scan
+would not fit in memory. Bareiss recomputes each reported witness.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb, gcd
+from math import gcd
 from typing import Sequence
 
 import numpy as np
 
 from . import _batch
 from .intmatrix import DegenerateRankError, IntMatrix, ShapeError, SubmatrixWitness
-
-# Above this many determinants the brute-force scans switch to the
-# vectorized int64 path (when its overflow guard allows).
-_BATCH_THRESHOLD = 4096
-_BATCH_CHUNK = 1 << 16
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -112,58 +108,35 @@ def _scan_subdets(m: IntMatrix, size: int, bound: int | None
     """Max |det| over size x size submatrices, columns outer / rows inner.
 
     Returns the maximum and the first attaining (cols, rows) pair in
-    enumeration order. With ``bound`` set, stops at the first subdeterminant
-    whose absolute value exceeds it and returns that one instead.
+    lexicographic order, column subsets outer. With ``bound`` set, returns
+    the first subdeterminant whose absolute value exceeds it instead, if any.
+
+    Every row subset is one batch entry of the minor kernel, and ``size``
+    Laplace steps over all columns give its minors on every column subset,
+    sharing the smaller minors between column subsets.
     """
-    col_sets = list(combinations(range(m.cols), size))
-    row_sets = list(combinations(range(m.rows), size))
-    total = len(col_sets) * len(row_sets)
-    if total > _BATCH_THRESHOLD and _batch.fits_int64(size, m.max_abs_entry()):
-        return _scan_subdets_batched(m, size, bound, col_sets, row_sets)
-    best = -1
-    best_at = (col_sets[0], row_sets[0])
-    for cset in col_sets:
-        width = [[m.entries[i][j] for j in cset] for i in range(m.rows)]
-        for rset in row_sets:
-            d = _bareiss_det([list(width[i]) for i in rset])
-            if abs(d) > best:
-                best = abs(d)
-                best_at = (cset, rset)
-                if bound is not None and best > bound:
-                    return best, best_at[0], best_at[1]
-    return best, best_at[0], best_at[1]
-
-
-def _scan_subdets_batched(m: IntMatrix, size: int, bound: int | None,
-                          col_sets: list, row_sets: list
-                          ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    arr = np.array(m.entries, dtype=np.int64)
-    rows_np = np.array(row_sets, dtype=np.intp)
-    cols_np = np.array(col_sets, dtype=np.intp)
-    n_rows = len(row_sets)
-    chunk = max(1, _BATCH_CHUNK // max(1, n_rows))
-    best = -1
-    best_flat = 0
-    for c0 in range(0, len(col_sets), chunk):
-        cpart = cols_np[c0:c0 + chunk]
-        # (chunk, n_rows, k, k), flattened column-set-major to match pure order
-        sub = arr[rows_np[None, :, :, None], cpart[:, None, None, :]]
-        dets = np.abs(_batch.batched_det(sub))
-        if bound is not None:
-            viol = dets > bound
-            if viol.any():
-                flat = int(np.argmax(viol))
-                best = int(dets.reshape(-1)[flat])
-                best_flat = (c0 + flat // n_rows) * n_rows + flat % n_rows
-                break
-        local_max = int(dets.max())
-        if local_max > best:
-            flat = int(np.argmax(dets == local_max))
-            best = local_max
-            best_flat = (c0 + flat // n_rows) * n_rows + flat % n_rows
-    cset = col_sets[best_flat // n_rows]
-    rset = row_sets[best_flat % n_rows]
-    return best, cset, rset
+    row_sets = np.array(list(combinations(range(m.rows), size)), dtype=np.intp)
+    dtype = _batch.scan_dtype(size, m.max_abs_entry())
+    _batch.check_scan_size(m.cols, size, len(row_sets), dtype)
+    a = np.array(m.entries, dtype=dtype)
+    state = np.ones((len(row_sets), 1), dtype=dtype)
+    for k in range(1, size + 1):
+        state = _batch.laplace_step(a[row_sets[:, size - k]], state, m.cols, k)
+    dets = np.abs(state)
+    hits = None if bound is None else dets > bound
+    if hits is None or not hits.any():
+        hits = dets == dets.max()
+    # first hit in lexicographic order: narrow the hit column sets by each
+    # position in turn, then take the first row set of the one left
+    cands = np.flatnonzero(hits.any(axis=0))
+    combos = _batch.colex_tables(m.cols, size)[0]
+    for at_p in combos:
+        col = at_p[cands]
+        cands = cands[col == col.min()]
+    cset = cands[0]
+    rset = int(np.argmax(hits[:, cset]))
+    return (int(dets[rset, cset]), tuple(combos[:, cset].tolist()),
+            tuple(row_sets[rset].tolist()))
 
 
 def max_abs_full_rank_subdet(m: IntMatrix) -> tuple[int, SubmatrixWitness]:
@@ -177,7 +150,8 @@ def max_abs_full_rank_subdet(m: IntMatrix) -> tuple[int, SubmatrixWitness]:
         raise DegenerateRankError("zero matrix has no full-rank submatrix")
     best, cset, rset = _scan_subdets(m, r, None)
     value = det(m.submatrix(rset, cset))
-    assert abs(value) == best
+    if abs(value) != best:
+        raise RuntimeError(f"witness determinant {value} disagrees with the scan maximum {best}")
     return best, SubmatrixWitness(tuple(rset), tuple(cset), value)
 
 
@@ -260,26 +234,3 @@ def hermite_triangularize(m: IntMatrix, basis_cols: Sequence[int]
                 u[j] = [vj - q * vk for vj, vk in zip(u[j], u[k])]
 
     return IntMatrix.from_rows(t, m.labels), IntMatrix.from_rows(u)
-
-
-def unimodular_inverse(u: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with det +-1, via the adjugate."""
-    n = u.rows
-    d = det(u)
-    if abs(d) != 1:
-        raise ValueError("matrix is not unimodular")
-    if n == 1:
-        return IntMatrix.from_rows([[d]])
-    idx = tuple(range(n))
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = u.submatrix(tuple(x for x in idx if x != i),
-                                tuple(x for x in idx if x != j))
-            cof = det(minor) if n > 1 else 1
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return IntMatrix.from_rows([[v * d for v in row] for row in adj])
-
-
-def subdet_count(rows: int, cols: int, size: int) -> int:
-    return comb(rows, size) * comb(cols, size)

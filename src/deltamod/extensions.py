@@ -22,6 +22,7 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 from .exact import det, is_parallel
+from .families import _partitions_desc
 from .intmatrix import IntMatrix, ShapeError, SubmatrixWitness
 from .modularity import is_delta_modular
 
@@ -98,15 +99,6 @@ def canonical_column(a: Sequence[int]) -> CanonicalColumn:
     return CanonicalColumn(rev, True)
 
 
-def _partitions_max(n: int, max_part: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions_max(n - first, first):
-            yield (first,) + rest
-
-
 def enumerate_single_extensions(delta: int) -> list[CanonicalColumn]:
     """All admissible single extension columns, canonical and deduplicated.
 
@@ -119,8 +111,8 @@ def enumerate_single_extensions(delta: int) -> list[CanonicalColumn]:
     seen: set[tuple[int, ...]] = set()
     out: list[CanonicalColumn] = []
     for p in range(1, delta + 1):
-        for pos in _partitions_max(p, p):
-            for neg in _partitions_max(p, p):
+        for pos in _partitions_desc(p, p):
+            for neg in _partitions_desc(p, p):
                 if len(pos) == 1 and len(neg) == 1:
                     continue  # (p, -p) is parallel to a difference column
                 col = list(pos) + [-v for v in neg]

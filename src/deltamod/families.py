@@ -113,6 +113,11 @@ def _base_columns(r: int) -> tuple[list[list[int]], list[str]]:
     return cols, labels
 
 
+def _check_count(m: IntMatrix, delta: int, r: int) -> None:
+    if m.cols != expected_count(delta, r):
+        raise RuntimeError(f"built {m.cols} columns, expected {expected_count(delta, r)}")
+
+
 def build_A(delta: int, partition: Partition | Sequence[int], r: int) -> ExtremalMatrix:
     """Partition-indexed extremal matrix; columns ordered i, then k, then j."""
     lam = partition if isinstance(partition, Partition) else Partition(tuple(partition))
@@ -140,7 +145,7 @@ def build_A(delta: int, partition: Partition | Sequence[int], r: int) -> Extrema
                 cols.append(v)
                 labels.append("A-4")
     m = IntMatrix.from_cols(cols, labels)
-    assert m.cols == expected_count(delta, r)
+    _check_count(m, delta, r)
     return ExtremalMatrix(m, delta, r, lam)
 
 
@@ -158,7 +163,7 @@ def build_A_lee(delta: int, r: int) -> ExtremalMatrix:
             cols.append(v)
             labels.append("A-5")
     m = IntMatrix.from_cols(cols, labels)
-    assert m.cols == expected_count(delta, r)
+    _check_count(m, delta, r)
     return ExtremalMatrix(m, delta, r, None)
 
 

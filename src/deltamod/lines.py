@@ -115,25 +115,18 @@ def _rank_le_2(u, v, w) -> bool:
     return True
 
 
-def long_lines_through(m: IntMatrix, e: int) -> list[tuple[int, ...]]:
-    """Maximal rank-2 closures through column e with at least three points.
-
-    Two distinct lines through e meet only in the parallel class of e, so
-    each non-parallel column lies on exactly one line through e; zero
-    columns are excluded.
-    """
+def _long_lines(m: IntMatrix, e: int) -> list[tuple[tuple[int, ...], int]]:
+    """Long lines through column e with their point counts, sorted."""
     cols = m.columns()
     ce = cols[e]
     if not any(ce):
         raise ValueError("designated column is zero")
-    nonzero = [j for j, c in enumerate(cols) if any(c)]
-    cls_of_e = [j for j in nonzero if is_parallel(ce, cols[j])]
-    assigned: set[int] = set(cls_of_e)
-    pc = parallel_classes(m)
     class_of = {}
-    for ci, cl in enumerate(pc.classes):
+    for ci, cl in enumerate(parallel_classes(m).classes):
         for j in cl:
             class_of[j] = ci
+    nonzero = sorted(class_of)
+    assigned = {j for j in nonzero if class_of[j] == class_of[e]}
     lines = []
     for f in nonzero:
         if f in assigned:
@@ -145,21 +138,22 @@ def long_lines_through(m: IntMatrix, e: int) -> list[tuple[int, ...]]:
         if points >= 3:
             lines.append((tuple(sorted(line)), points))
     lines.sort(key=lambda lw: lw[0])
-    return [line for line, _ in lines]
+    return lines
+
+
+def long_lines_through(m: IntMatrix, e: int) -> list[tuple[int, ...]]:
+    """Maximal rank-2 closures through column e with at least three points.
+
+    Two distinct lines through e meet only in the parallel class of e, so
+    each non-parallel column lies on exactly one line through e; zero
+    columns are excluded.
+    """
+    return [line for line, _ in _long_lines(m, e)]
 
 
 def line_length_multiset(m: IntMatrix, e: int) -> LineMultiset:
     """Multiset of point counts of the long lines through column e."""
-    cols = m.columns()
-    pc = parallel_classes(m)
-    class_of = {}
-    for ci, cl in enumerate(pc.classes):
-        for j in cl:
-            class_of[j] = ci
-    lengths = []
-    for line in long_lines_through(m, e):
-        lengths.append(len({class_of[j] for j in line}))
-    return LineMultiset.from_lengths(lengths)
+    return LineMultiset.from_lengths(points for _, points in _long_lines(m, e))
 
 
 def nu_formula(delta: int, partition: Partition, r: int) -> LineMultiset:

@@ -14,8 +14,9 @@ strategies are dispatched on matrix structure:
   determinant of row-sums of the c_k over the forest components. The level
   is therefore the maximum of |det[(sum over S_a of c_b)]| over families of
   disjoint, nonempty, edge-connected row subsets S_1..S_t and t-subsets of
-  general columns. Large enumerations run vectorized in int64 with an
-  overflow guard; everything else stays in big-int Python.
+  general columns. Each added part is one step of the shared minor kernel
+  in ``_batch``, in int64 when its growth guard allows and over exact
+  Python ints otherwise.
 
 * zero-sum: when every column sums to zero and the rank is one below the
   row count, deleting the last row (the inverse of appending the negated
@@ -23,10 +24,11 @@ strategies are dispatched on matrix structure:
   anchor.
 
 * general: brute-force enumeration over rank-sized row and column subsets,
-  columns outer, rows inner, lexicographic.
+  columns outer, rows inner, lexicographic, through the same kernel.
 
-The identity-anchored path is cross-validated against the brute-force path
-in the test suite on randomized inputs.
+A scan too large for memory is refused with ``ValueError`` before it
+starts. The identity-anchored path is cross-validated against the
+brute-force path in the test suite on randomized inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from . import _batch
 from .exact import _bareiss_det, det, is_parallel, rank
 from .intmatrix import DegenerateRankError, IntMatrix, SubmatrixWitness
 
-_VECTORIZE_THRESHOLD = 256
 _MAX_FAST_ROWS = 12
 
 
@@ -206,69 +206,6 @@ def _witness_cols(family: tuple[int, ...], combo: tuple[int, ...],
     return tuple(range(r)), tuple(sorted(cols))
 
 
-@lru_cache(maxsize=64)
-def _colex_combos(n: int, k: int) -> np.ndarray:
-    """All k-subsets of range(n) in colexicographic order, shape (C, k)."""
-    if k == 0:
-        return np.zeros((1, 0), dtype=np.int32)
-    if k > n:
-        return np.zeros((0, k), dtype=np.int32)
-    blocks = []
-    for top in range(k - 1, n):
-        prefix = _colex_combos(top, k - 1)
-        col = np.full((prefix.shape[0], 1), top, dtype=np.int32)
-        blocks.append(np.hstack([prefix, col]))
-    return np.vstack(blocks)
-
-
-def _colex_unrank(k: int, idx: int) -> tuple[int, ...]:
-    out = []
-    for kk in range(k, 0, -1):
-        c = kk - 1
-        while comb(c + 1, kk) <= idx:
-            c += 1
-        out.append(c)
-        idx -= comb(c, kk)
-    return tuple(reversed(out))
-
-
-@lru_cache(maxsize=64)
-def _transition(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays for one Laplace level of the column-subset DP.
-
-    For each k-subset S (colex order) and each drop position p the arrays
-    give the column dropped and the colex rank of S minus that column.
-    """
-    combos = _colex_combos(n, k).astype(np.int64)
-    n_cur = combos.shape[0]
-    binom = np.zeros((n + 1, k + 1), dtype=np.int64)
-    for c in range(n + 1):
-        for j in range(min(c, k) + 1):
-            binom[c, j] = comb(c, j)
-    keep = np.zeros((n_cur, k), dtype=np.int64)   # rank term if position kept
-    shift = np.zeros((n_cur, k), dtype=np.int64)  # rank term if shifted down
-    for q in range(k):
-        keep[:, q] = binom[combos[:, q], q + 1]
-        shift[:, q] = binom[combos[:, q], q]
-    pre = np.cumsum(keep, axis=1)
-    post = np.cumsum(shift[:, ::-1], axis=1)[:, ::-1]
-    prev_rank = np.zeros((n_cur, k), dtype=np.intp)
-    for p in range(k):
-        rank = np.zeros(n_cur, dtype=np.int64)
-        if p > 0:
-            rank += pre[:, p - 1]
-        if p + 1 < k:
-            rank += post[:, p + 1]
-        prev_rank[:, p] = rank
-    return combos.astype(np.intp), prev_rank
-
-
-@lru_cache(maxsize=64)
-def _transition_py(n: int, k: int) -> tuple[list, list]:
-    combos, prev_rank = _transition(n, k)
-    return combos.tolist(), prev_rank.tolist()
-
-
 class _ScanHit(Exception):
     """Carries the first bound violation out of the DFS."""
 
@@ -283,26 +220,25 @@ class _SubsetScan:
 
     The state at depth L holds, for every L-subset of general columns in
     colex order, the determinant of the collapsed L x L matrix given by the
-    current part masks. Extending the family by one part is a single Laplace
-    step, so minors are shared across every family with a common prefix.
+    current part masks. Extending the family by one part is a single step
+    of the minor kernel, so minors are shared across every family with a
+    common prefix.
     """
 
-    def __init__(self, sums, conn, nx, bound, use_np):
+    def __init__(self, sums: np.ndarray, conn, nx: int, bound: int | None):
         self.sums = sums
         self.conn = conn
         self.nx = nx
         self.bound = bound
-        self.use_np = use_np
         self.best = 1
         self.best_at: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self.path: list[int] = []
 
     def run(self, max_depth: int) -> None:
-        root = (np.ones(1, dtype=np.int64) if self.use_np else [1])
         self.max_depth = max_depth
-        self._rec(0, 0, root)
+        self._rec(0, 0, np.ones(1, dtype=self.sums.dtype))
 
-    def _rec(self, start: int, used: int, state) -> None:
+    def _rec(self, start: int, used: int, state: np.ndarray) -> None:
         depth = len(self.path)
         if depth == self.max_depth:
             return
@@ -317,56 +253,23 @@ class _SubsetScan:
                 self._rec(idx + 1, used | mask, child)
             self.path.pop()
 
-    def _extend(self, state, mask: int, depth: int):
-        k = depth + 1
-        if self.use_np:
-            combos, prev_rank = _transition(self.nx, k)
-            row = self.sums[mask]
-            acc = row[combos[:, 0]] * state[prev_rank[:, 0]]
-            for p in range(1, k):
-                term = row[combos[:, p]] * state[prev_rank[:, p]]
-                if p % 2:
-                    acc -= term
-                else:
-                    acc += term
-            if not acc.any():
-                return None
-            return acc
-        row = self.sums[mask]
-        combos, prev_rank = _transition_py(self.nx, k)
-        out = []
-        any_nz = False
-        for cset, pset in zip(combos, prev_rank):
-            v = 0
-            for p in range(k):
-                term = row[cset[p]] * state[pset[p]]
-                v += -term if p % 2 else term
-            any_nz = any_nz or v != 0
-            out.append(v)
-        return out if any_nz else None
+    def _extend(self, state: np.ndarray, mask: int, depth: int) -> np.ndarray | None:
+        acc = _batch.laplace_step(self.sums[mask], state, self.nx, depth + 1)
+        return acc if acc.any() else None
 
-    def _inspect(self, values, k: int) -> None:
+    def _inspect(self, values: np.ndarray, k: int) -> None:
         fam = tuple(self.path)
-        if self.use_np:
-            av = np.abs(values)
-            if self.bound is not None:
-                viol = av > self.bound
-                if viol.any():
-                    i = int(np.argmax(viol))
-                    raise _ScanHit(int(av[i]), fam, _colex_unrank(k, i))
-            local = int(av.max())
-            if local > self.best:
-                i = int(np.argmax(av == local))
-                self.best = local
-                self.best_at = (fam, _colex_unrank(k, i))
-            return
-        for i, v in enumerate(values):
-            a = -v if v < 0 else v
-            if a > self.best:
-                self.best = a
-                self.best_at = (fam, _colex_unrank(k, i))
-                if self.bound is not None and a > self.bound:
-                    raise _ScanHit(a, fam, self.best_at[1])
+        av = np.abs(values)
+        if self.bound is not None:
+            viol = av > self.bound
+            if viol.any():
+                i = int(np.argmax(viol))
+                raise _ScanHit(int(av[i]), fam, _batch.colex_unrank(k, i))
+        local = int(av.max())
+        if local > self.best:
+            i = int(np.argmax(av == local))
+            self.best = local
+            self.best_at = (fam, _batch.colex_unrank(k, i))
 
 
 def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
@@ -383,13 +286,11 @@ def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
     conn = _connected_masks(r, split.adj)
     max_depth = min(r, nx)
     col_bound = max(sum(abs(v) for v in col) for col in extras_cols)
-    use_np = (nx * len(conn) > _VECTORIZE_THRESHOLD
-              and _batch.fits_int64(max_depth, col_bound))
-    sums = _part_sums(extras_cols, r)
-    if use_np:
-        sums = np.array(sums, dtype=np.int64)
+    dtype = _batch.scan_dtype(max_depth, col_bound)
+    _batch.check_scan_size(nx, max_depth, 1, dtype)
+    sums = np.array(_part_sums(extras_cols, r), dtype=dtype)
 
-    scan = _SubsetScan(sums, conn, nx, bound, use_np)
+    scan = _SubsetScan(sums, conn, nx, bound)
     try:
         scan.run(max_depth)
         value, hit = scan.best, scan.best_at
@@ -400,7 +301,9 @@ def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
     fam, cmb = hit
     rows_w, cols_w = _witness_cols(fam, cmb, split, r)
     wit = SubmatrixWitness(rows_w, cols_w, det(m.submatrix(rows_w, cols_w)))
-    assert abs(wit.det_value) == value
+    if abs(wit.det_value) != value:
+        raise RuntimeError(f"witness determinant {wit.det_value} disagrees "
+                           f"with the scanned value {value}")
     return value, wit
 
 

@@ -5,14 +5,20 @@ scratch and compares it against this library's output. The fast scope
 finishes in well under a minute; the full scope adds the exhaustive
 enumerations and searches and stays within desk-scale budgets.
 
+A check fails by raising ``CheckFailure``, never by ``assert``, so the
+battery works the same under ``python -O``. Any other exception a check
+raises is recorded as a failure with its type, not passed up as a crash.
+
 Timing appears in the human-readable report only; the JSON form excludes
 it so output is byte-identical across runs.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,9 +26,9 @@ from .exact import max_abs_full_rank_subdet
 from .extensions import (canonical_column, canonical_pair_rows,
                          clique_extension_max_subdet, corner_det, embed_single,
                          enumerate_pair_extensions, enumerate_single_extensions,
-                         refute_triple_extensions, _partitions_max)
-from .families import (build_A, build_A_lee, expected_count, partitions,
-                       sporadic_rank3)
+                         refute_triple_extensions)
+from .families import (_partitions_desc, build_A, build_A_lee, expected_count,
+                       partitions, sporadic_rank3)
 from .intmatrix import IntMatrix
 from .lines import line_length_multiset, nu_formula, recover_partition
 from .modularity import (append_zero_sum_row, drop_last_row, is_delta_modular,
@@ -47,6 +53,15 @@ KNOWN_PAIR_BLOCKS_3 = (
 )
 
 
+class CheckFailure(Exception):
+    """A check re-derived a value that disagrees with the library's."""
+
+
+def _require(holds: bool, detail: str) -> None:
+    if not holds:
+        raise CheckFailure(detail)
+
+
 @dataclass(frozen=True)
 class VerifySuiteReport:
     checks: tuple[tuple[str, str, int, str], ...]  # name, status, ms, detail
@@ -61,25 +76,30 @@ class VerifySuiteReport:
 def _check_sporadic() -> str:
     m = sporadic_rank3()
     report = modularity_level(m)
-    assert m.cols == 11 and report.delta == 3 and report.pairwise_non_parallel
-    assert m.cols > expected_count(3, 3) == 10
+    _require(m.cols == 11 and report.delta == 3 and report.pairwise_non_parallel,
+             f"{m.cols} columns at level {report.delta}, "
+             f"pairwise non-parallel {report.pairwise_non_parallel}")
+    _require(m.cols > expected_count(3, 3) == 10,
+             f"family count {expected_count(3, 3)}, expected 10")
     return "11 non-parallel columns at level 3, one above the family count"
 
 
 def _check_single_extensions() -> str:
     got = {c.reduced for c in enumerate_single_extensions(3)}
     want = {canonical_column(v).reduced for v in KNOWN_SINGLE_COLUMNS_3}
-    assert got == want and len(got) == 7
-    assert enumerate_single_extensions(1) == []
+    _require(got == want and len(got) == 7,
+             f"bound 3: got {sorted(got)}, published {sorted(want)}")
+    _require(enumerate_single_extensions(1) == [], "bound 1 admits a column")
     got2 = {c.reduced for c in enumerate_single_extensions(2)}
-    assert got2 == {(2, -1, -1), (1, 1, -1, -1)}
+    _require(got2 == {(2, -1, -1), (1, 1, -1, -1)}, f"bound 2: got {sorted(got2)}")
     return "7 canonical columns at bound 3; bounds 1 and 2 as expected"
 
 
 def _check_corner_pattern() -> str:
-    assert corner_det(-1, 1, -1, 1, 1) == 4
-    assert corner_det(-1, -1, -1, -1, -1) == 4
-    assert corner_det(0, 0, 0, 0, 0) == 0
+    for args, want in (((-1, 1, -1, 1, 1), 4), ((-1, -1, -1, -1, -1), 4),
+                       ((0, 0, 0, 0, 0), 0)):
+        got = corner_det(*args)
+        _require(got == want, f"corner_det{args} = {got}, expected {want}")
     for a in range(-2, 3):
         for b in range(-2, 3):
             for e in range(-2, 3):
@@ -101,10 +121,21 @@ def _check_zero_sum_roundtrip() -> str:
             cols.append([rng.randint(-2, 2) for _ in range(r)])
         m = IntMatrix.from_cols(cols)
         z = append_zero_sum_row(m)
-        assert drop_last_row(z) == m
+        _require(drop_last_row(z) == m, "dropping the zero-sum row changed the matrix")
         for delta in (1, 2, 3, 4):
-            assert is_delta_modular(m, delta)[0] == is_delta_modular(z, delta)[0]
+            _require(is_delta_modular(m, delta)[0] == is_delta_modular(z, delta)[0],
+                     f"decisions at {delta} differ on {m.entries}")
     return "100 random instances agree before and after the zero-sum row"
+
+
+def _check_family(fam, delta: int, r: int) -> None:
+    rep = modularity_level(fam.matrix)
+    _require(rep.delta <= delta and rep.pairwise_non_parallel,
+             f"{fam.describe}: level {rep.delta}, pairwise non-parallel "
+             f"{rep.pairwise_non_parallel}")
+    _require(fam.matrix.cols == expected_count(delta, r),
+             f"{fam.describe}: {fam.matrix.cols} columns, "
+             f"expected {expected_count(delta, r)}")
 
 
 def _family_sweep(max_delta: int, max_rank: int) -> str:
@@ -113,9 +144,7 @@ def _family_sweep(max_delta: int, max_rank: int) -> str:
         for lam in partitions(delta - 1):
             for r in range(lam.m + 1, max_rank + 1):
                 fam = build_A(delta, lam, r)
-                rep = modularity_level(fam.matrix)
-                assert rep.delta <= delta and rep.pairwise_non_parallel
-                assert fam.matrix.cols == expected_count(delta, r)
+                _check_family(fam, delta, r)
                 n += 1
     return f"{n} partition-family matrices verified"
 
@@ -125,9 +154,7 @@ def _lee_sweep(max_delta: int, max_rank: int) -> str:
     for delta in range(1, max_delta + 1):
         for r in range(2, max_rank + 1):
             fam = build_A_lee(delta, r)
-            rep = modularity_level(fam.matrix)
-            assert rep.delta <= delta and rep.pairwise_non_parallel
-            assert fam.matrix.cols == expected_count(delta, r)
+            _check_family(fam, delta, r)
             n += 1
     return f"{n} ladder-family matrices verified"
 
@@ -139,12 +166,15 @@ def _profile_sweep(max_delta: int, max_rank: int) -> str:
             for r in range(max(lam.m + 1, delta + 1), max_rank + 1):
                 fam = build_A(delta, lam, r)
                 measured = line_length_multiset(fam.matrix, 0)
-                assert measured == nu_formula(delta, lam, r)
+                want = nu_formula(delta, lam, r)
+                _require(measured == want, f"{fam.describe}: measured {measured}, "
+                         f"formula {want}")
                 n += 1
         for r in range(delta + 1, max_rank + 1):
             lee = build_A_lee(delta, r)
             measured = line_length_multiset(lee.matrix, 0)
-            assert measured.counts == ((delta + 2, r - 1),)
+            _require(measured.counts == ((delta + 2, r - 1),),
+                     f"{lee.describe}: measured {measured}")
             n += 1
     return f"{n} line profiles match the closed formula"
 
@@ -154,7 +184,8 @@ def _recovery_sweep(max_delta: int) -> str:
     for delta in range(2, max_delta + 1):
         for lam in partitions(delta - 1):
             for r in range(delta + 1, delta + 4):
-                assert recover_partition(nu_formula(delta, lam, r), delta, r) == lam
+                got = recover_partition(nu_formula(delta, lam, r), delta, r)
+                _require(got == lam, f"({delta},{r}): recovered {got} from {lam}")
                 n += 1
     return f"{n} round trips recovered the partition"
 
@@ -166,8 +197,10 @@ def _distinguish_sweep(pairs) -> str:
     for delta, r in pairs:
         certs = distinguishing_report(delta, r)
         k = partition_count(delta - 1) + 1
-        assert len(certs) == k * (k - 1) // 2
-        assert all(c.distinct for c in certs)
+        _require(len(certs) == k * (k - 1) // 2,
+                 f"({delta},{r}): {len(certs)} reports for {k} constructions")
+        same = [(c.left_id, c.right_id) for c in certs if not c.distinct]
+        _require(not same, f"({delta},{r}): equal profiles {same}")
         details.append(f"({delta},{r}):{k}")
     return "pairwise distinct profiles for " + " ".join(details)
 
@@ -176,30 +209,38 @@ def _check_pair_extensions() -> str:
     got = {p.rows for p in enumerate_pair_extensions(3)}
     want = {canonical_pair_rows([r[0] for r in b], [r[1] for r in b])
             for b in KNOWN_PAIR_BLOCKS_3}
-    assert got == want and len(got) == 8
+    _require(got == want and len(got) == 8,
+             f"got {sorted(got)}, published {sorted(want)}")
     return "8 canonical pairs, exact match with the published blocks"
 
 
 def _check_triple_refutations() -> str:
     refs = refute_triple_extensions(3)
-    assert refs, "candidate triples must exist"
+    _require(bool(refs), "candidate triples must exist")
     for t in refs:
-        assert t.witness is not None and abs(t.witness.det_value) >= 4
-        assert t.witness.check(t.matrix)
+        _require(t.witness is not None and abs(t.witness.det_value) >= 4,
+                 f"triple {t.matrix.entries} not refuted")
+        _require(t.witness.check(t.matrix), f"witness {t.witness} does not re-check")
     return f"all {len(refs)} candidate triples refuted with |det| >= 4"
 
 
 def _single_extension_classes(max_entry: int, max_support: int):
     seen = set()
     for p in range(1, max_entry * (max_support // 2) + 1):
-        for pos in _partitions_max(p, max_entry):
-            for neg in _partitions_max(p, max_entry):
+        for pos in _partitions_desc(p, max_entry):
+            for neg in _partitions_desc(p, max_entry):
                 if len(pos) + len(neg) > max_support:
                     continue
                 fwd = tuple(sorted(list(pos) + [-v for v in neg], reverse=True))
                 rev = tuple(sorted((-v for v in fwd), reverse=True))
                 seen.add(max(fwd, rev))
     return sorted(seen, key=lambda c: (len(c), c))
+
+
+def _check_formula(col, r: int, value: int) -> None:
+    want = clique_extension_max_subdet(col, r)
+    _require(value == want, f"column {tuple(col)} at rank {r}: brute force "
+             f"{value}, formula {want}")
 
 
 def _check_extension_oracle() -> str:
@@ -210,7 +251,7 @@ def _check_extension_oracle() -> str:
         for r in range(max(1, len(a) - 1), 6):
             col = a + (0,) * (r + 1 - len(a))
             value, _ = max_abs_full_rank_subdet(embed_single(col))
-            assert value == clique_extension_max_subdet(col, r)
+            _check_formula(col, r, value)
             checked += 1
     # rank 6 embeddings: all full-support classes, sampled padded classes
     rng = random.Random(60)
@@ -219,7 +260,7 @@ def _check_extension_oracle() -> str:
     for a in seven + padded:
         col = a + (0,) * (7 - len(a))
         value, _ = max_abs_full_rank_subdet(embed_single(col))
-        assert value == clique_extension_max_subdet(col, 6)
+        _check_formula(col, 6, value)
         checked += 1
     # randomized trials
     for _ in range(1000):
@@ -230,16 +271,21 @@ def _check_extension_oracle() -> str:
             if any(col) and max(abs(v) for v in col) <= 4:
                 break
         value, _ = max_abs_full_rank_subdet(embed_single(col))
-        assert value == clique_extension_max_subdet(col, r)
+        _check_formula(col, r, value)
         checked += 1
     return f"{checked} formula evaluations match the brute-force oracle"
+
+
+def _check_search(cert, want: int) -> None:
+    _require((cert.best_count, cert.optimal) == (want, True),
+             f"best {cert.best_count}, optimal {cert.optimal}; expected {want}, optimal")
 
 
 def _check_search_unimodular() -> str:
     c2 = max_columns_search(SearchConfig(1, 2, "hnf-exhaustive"))
     c3 = max_columns_search(SearchConfig(1, 3, "hnf-exhaustive"))
-    assert (c2.best_count, c2.optimal) == (3, True)
-    assert (c3.best_count, c3.optimal) == (6, True)
+    _check_search(c2, 3)
+    _check_search(c3, 6)
     return "column numbers 3 and 6 at bound 1, both exhaustive"
 
 
@@ -248,15 +294,16 @@ def _check_search_bimodular() -> str:
                                             time_limit_seconds=1800))
     full = max_columns_search(SearchConfig(2, 3, "hnf-exhaustive",
                                            time_limit_seconds=1800))
-    assert (ident.best_count, ident.optimal) == (9, True)
-    assert (full.best_count, full.optimal) == (9, True)
+    _check_search(ident, 9)
+    _check_search(full, 9)
     return "column number 9 at bound 2, rank 3, exhaustive"
 
 
 def _check_search_greedy() -> str:
     cert = max_columns_search(SearchConfig(3, 3, "greedy-seeded",
                                            seed_matrix=sporadic_rank3()))
-    assert cert.best_count >= 11 and not cert.optimal
+    _require(cert.best_count >= 11 and not cert.optimal,
+             f"best {cert.best_count}, optimal {cert.optimal}")
     return f"greedy extension of the sporadic matrix reaches {cert.best_count}"
 
 
@@ -298,10 +345,15 @@ def run_verify_suite(scope: str = "fast") -> VerifySuiteReport:
         try:
             detail = fn()
             status = "pass"
-        except AssertionError as exc:
-            detail = str(exc) or "assertion failed"
+        except CheckFailure as exc:
+            detail = str(exc)
             status = "FAIL"
-            ok = False
+        except Exception as exc:  # a crashing check is a failed check
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            detail = (f"{type(exc).__name__}: {exc} "
+                      f"({os.path.basename(where.filename)}:{where.lineno})")
+            status = "FAIL"
+        ok = ok and status == "pass"
         elapsed = int((time.monotonic() - t0) * 1000)
         rows.append((name, status, elapsed, detail))
     return VerifySuiteReport(tuple(rows), ok)

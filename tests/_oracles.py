@@ -44,3 +44,22 @@ def naive_partition_count(n: int) -> int:
         for total in range(part, n + 1):
             ways[total] += ways[total - part]
     return ways[n]
+
+
+def naive_first_max_rank_subdet(m: IntMatrix, bound: int | None = None):
+    """(|det|, cols, rows) of the first rank-sized maximiser.
+
+    Column subsets are the outer loop and row subsets the inner one, both
+    in lexicographic order. With ``bound``, the first |det| above it wins
+    instead, if there is one.
+    """
+    r = rank(m)
+    best = None
+    for cols in combinations(range(m.cols), r):
+        for rows in combinations(range(m.rows), r):
+            d = abs(det_cofactor(m.submatrix(rows, cols)))
+            if bound is not None and d > bound:
+                return d, cols, rows
+            if best is None or d > best[0]:
+                best = (d, cols, rows)
+    return best

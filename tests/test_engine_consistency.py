@@ -1,24 +1,24 @@
 """Cross-checks between the modularity engine's strategies.
 
-The identity-anchored DFS, the zero-sum row reduction, the vectorized
-subset DP, and the brute-force enumeration must agree exactly on shared
-inputs, including witness bookkeeping and overflow fallbacks.
+The identity-anchored DFS, the zero-sum row reduction and the brute-force
+enumeration must agree exactly on shared inputs, including witness
+bookkeeping and the big-int fallback of the minor kernel.
 """
 
 import random
 from itertools import combinations
 
 import numpy as np
+import pytest
 
-import deltamod.modularity as mod
-from deltamod._batch import batched_det, fits_int64
-from deltamod.exact import det_cofactor, rank
+from deltamod._batch import batched_det, colex_tables, colex_unrank, fits_int64
+from deltamod.cli import run
+from deltamod.exact import det_cofactor, max_abs_full_rank_subdet, rank
 from deltamod.intmatrix import IntMatrix
-from deltamod.modularity import (_colex_combos, _colex_unrank, _connected_masks,
-                                 _minor_scan, _split_identity_anchored,
+from deltamod.modularity import (_connected_masks, _split_identity_anchored,
                                  append_zero_sum_row, is_delta_modular,
                                  modularity_level)
-from tests._oracles import naive_max_rank_subdet
+from tests._oracles import naive_first_max_rank_subdet, naive_max_rank_subdet
 
 
 def adversarial_matrix(rng):
@@ -89,20 +89,6 @@ class TestStrategiesAgree:
         assert rank(m) == 3
         assert modularity_level(m).delta == naive_max_rank_subdet(m) == 96
 
-    def test_forced_python_and_numpy_paths_match(self, monkeypatch):
-        rng = random.Random(2468)
-        for _ in range(40):
-            m = adversarial_matrix(rng)
-            split = _split_identity_anchored(m)
-            if split is None or not split.extras:
-                continue
-            monkeypatch.setattr(mod, "_VECTORIZE_THRESHOLD", -1)
-            forced_np = _minor_scan(m, None)
-            monkeypatch.setattr(mod, "_VECTORIZE_THRESHOLD", 10 ** 18)
-            forced_py = _minor_scan(m, None)
-            assert forced_np[0] == forced_py[0]
-            assert forced_np[1] == forced_py[1]  # identical witnesses
-
     def test_big_entries_fall_back_exactly(self):
         big = 1 << 45
         m = IntMatrix.from_cols(
@@ -123,6 +109,34 @@ class TestDecisionWitnessOrder:
         assert witness.col_indices == (0, 1)  # det 4 beats bound first
         assert witness.row_indices == (0, 1)
 
+    def test_general_scan_matches_naive_first_hit(self):
+        # value and witness of the maximum, and the first violator of each
+        # bound, against cofactor determinants in the same order; small
+        # entries give ties, a dependent row gives rows > rank
+        rng = random.Random(2 ** 40)
+        checked = 0
+        while checked < 80:
+            n_rows = rng.randint(2, 4)
+            big = rng.choice([1, 2, 5, 2 ** 40])
+            ent = [[rng.randint(-big, big) for _ in range(rng.randint(n_rows, 6))]]
+            ent += [[rng.randint(-big, big) for _ in ent[0]] for _ in range(n_rows - 1)]
+            if rng.random() < 0.5:
+                ent[-1] = [a - 2 * b for a, b in zip(ent[0], ent[1])]
+            m = IntMatrix.from_rows(ent)
+            if (rank(m) == 0 or _split_identity_anchored(m) is not None
+                    or all(sum(m.column(j)) == 0 for j in range(m.cols))):
+                continue  # not the general strategy
+            value, witness = max_abs_full_rank_subdet(m)
+            assert (value, witness.col_indices, witness.row_indices) == \
+                naive_first_max_rank_subdet(m)
+            for bound in {1, max(1, value // 2), max(1, value - 1), value}:
+                ok, hit = is_delta_modular(m, bound)
+                want = naive_first_max_rank_subdet(m, bound)
+                assert ok == (want[0] <= bound)
+                if not ok:
+                    assert (abs(hit.det_value), hit.col_indices, hit.row_indices) == want
+            checked += 1
+
     def test_decision_and_measure_agree_on_flag(self):
         rng = random.Random(1122)
         for _ in range(80):
@@ -136,16 +150,16 @@ class TestDecisionWitnessOrder:
 
 class TestSubsetMachinery:
     def test_colex_order(self):
-        combos = _colex_combos(5, 3)
+        combos = colex_tables(5, 3)[0].T
         as_tuples = [tuple(row) for row in combos.tolist()]
         want = sorted((tuple(sorted(c)) for c in combinations(range(5), 3)),
                       key=lambda s: tuple(reversed(s)))
         assert as_tuples == want
 
     def test_unrank_inverts_order(self):
-        combos = _colex_combos(7, 4)
+        combos = colex_tables(7, 4)[0].T
         for idx, row in enumerate(combos.tolist()):
-            assert _colex_unrank(4, idx) == tuple(row)
+            assert colex_unrank(4, idx) == tuple(row)
 
     def test_connected_masks_complete_graph(self):
         adj = tuple((1 << 4) - 1 ^ (1 << i) for i in range(4))
@@ -172,6 +186,28 @@ class TestBatchedDet:
         assert not fits_int64(7, 10 ** 9)
         assert fits_int64(2, 2 ** 30)
         assert not fits_int64(2, 2 ** 32)
+
+
+class TestScanLimit:
+    def test_general_scan_refused_before_it_starts(self, tmp_path, capsys):
+        # C(40, 10) column sets with no identity anchor: about 8.5e8 minors
+        rng = random.Random(1040)
+        m = IntMatrix.from_rows([[rng.randint(2, 5) for _ in range(40)]
+                                 for _ in range(10)])
+        assert _split_identity_anchored(m) is None
+        with pytest.raises(ValueError, match="refusing a minor scan"):
+            max_abs_full_rank_subdet(m)
+        path = tmp_path / "wide.mat"
+        path.write_text(m.to_text())
+        assert run(["check", "--delta", "3", str(path)]) == 2
+        assert "refusing a minor scan" in capsys.readouterr().err
+
+    def test_identity_anchored_scan_refused(self):
+        rng = random.Random(1240)
+        cols = [[int(i == k) for i in range(12)] for k in range(12)]
+        cols += [[rng.randint(-3, 3) for _ in range(12)] for _ in range(40)]
+        with pytest.raises(ValueError, match="refusing a minor scan"):
+            modularity_level(IntMatrix.from_cols(cols))
 
 
 def test_query_report_round_trip():
