@@ -171,6 +171,15 @@ def _part_sums(extras_cols: list[tuple[int, ...]], r: int) -> list[list[int]]:
     return sums
 
 
+def _mask_sums(col: tuple[int, ...], r: int) -> list[int]:
+    """sums[mask] = sum of col over the rows in mask."""
+    sums = [0] * (1 << r)
+    for mask in range(1, 1 << r):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + col[low.bit_length() - 1]
+    return sums
+
+
 def _spanning_tree_cols(mask: int, split: _Split) -> list[int]:
     """Column indices of difference columns forming a spanning tree of mask."""
     edge_col = {(i, j): c for (i, j, c) in split.edge_for_pair}
@@ -387,6 +396,8 @@ class IdentityAnchoredChecker:
 
     ``try_add`` verifies only the minors that involve the incoming column;
     subsets of feasible sets are feasible, so this matches a full recheck.
+    ``sums[k]`` holds the part sums of ``extras[k]`` (``_mask_sums``); an
+    accepted extra pushes its column of sums and ``pop`` drops it.
     """
 
     def __init__(self, r: int, delta: int):
@@ -394,6 +405,7 @@ class IdentityAnchoredChecker:
         self.delta = delta
         self.adj = [0] * r
         self.extras: list[tuple[int, ...]] = []
+        self.sums: list[list[int]] = []
         self._trail: list[tuple[str, object]] = []
 
     def _classify(self, col: tuple[int, ...]) -> tuple[str, object]:
@@ -417,8 +429,10 @@ class IdentityAnchoredChecker:
                 self._trail.append(("edge", (i, j)))
                 return True
             return False
-        if self._extra_ok(col):
+        sums = _mask_sums(col, self.r)
+        if self._extra_ok(sums):
             self.extras.append(col)
+            self.sums.append(sums)
             self._trail.append(("extra", None))
             return True
         return False
@@ -431,6 +445,7 @@ class IdentityAnchoredChecker:
             self.adj[j] &= ~(1 << i)
         elif kind == "extra":
             self.extras.pop()
+            self.sums.pop()
 
     def _edge_ok(self, i: int, j: int) -> bool:
         if not self.extras:
@@ -440,31 +455,31 @@ class IdentityAnchoredChecker:
         new_adj[j] |= 1 << i
         conn = _connected_masks(self.r, tuple(new_adj))
         pair_mask = (1 << i) | (1 << j)
-        sums = _part_sums(self.extras, self.r)
-        nx = len(self.extras)
+        sums = self.sums
+        nx = len(sums)
         for t in range(1, min(self.r, nx) + 1):
             for fam in _disjoint_families(conn, t):
                 if not any(mask & pair_mask == pair_mask for mask in fam):
                     continue
                 for cmb in combinations(range(nx), t):
-                    d = _bareiss_det([[sums[mask][k] for k in cmb] for mask in fam])
+                    d = _bareiss_det([[sums[k][mask] for k in cmb] for mask in fam])
                     if abs(d) > self.delta:
                         return False
         return True
 
-    def _extra_ok(self, col: tuple[int, ...]) -> bool:
-        cols = self.extras + [col]
-        new_idx = len(cols) - 1
-        sums = _part_sums(cols, self.r)
+    def _extra_ok(self, new_sums: list[int]) -> bool:
         conn = _connected_masks(self.r, tuple(self.adj))
-        for t in range(1, min(self.r, len(cols)) + 1):
+        # one part: the minors are the part sums themselves
+        if any(abs(new_sums[mask]) > self.delta for mask in conn):
+            return False
+        for t in range(2, min(self.r, len(self.sums) + 1) + 1):
             families = _disjoint_families(conn, t)
             if not families:
                 break
-            for fam in families:
-                for rest in combinations(range(new_idx), t - 1):
-                    cmb = rest + (new_idx,)
-                    d = _bareiss_det([[sums[mask][k] for k in cmb] for mask in fam])
+            for rest in combinations(self.sums, t - 1):
+                cols = rest + (new_sums,)
+                for fam in families:
+                    d = _bareiss_det([[c[mask] for c in cols] for mask in fam])
                     if abs(d) > self.delta:
                         return False
         return True

@@ -29,16 +29,33 @@ Search is sequential and deterministic: candidates are ordered by
 (max absolute entry, entries), depth-first inclusion is tried in order,
 and only strict improvements replace the incumbent, so the reported
 matrix is the lexicographically least among maximum solutions.
+
+Pair filter. For a seed basis H, bit j of candidate i's compatibility row
+is set iff H plus candidates i and j is delta-modular. Every rank-sized
+minor of [H | a | b] that uses both candidates is det[H_S a b] for an
+(r-2)-subset S of the basis columns, a fixed antisymmetric bilinear form
+in (a, b), so one row is a single exact vectorised product over the later
+candidates (for H = I these are the 2x2 minors of [a b]). The depth-first
+search carries the AND of the rows of the chosen candidates and skips a
+candidate whose bit is clear without asking the exact checker: a superset
+of an infeasible set is infeasible, so that call could only have said no.
+Rows are built the first time their candidate is accepted. A node is still
+one candidate examined: the node budget is charged before the filter, and
+the count bound is unchanged, so every search visits the same nodes in the
+same order, with the same count and certificate, as without the filter.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import comb, gcd
 
-from .exact import is_parallel, primitive_part, rank
+import numpy as np
+
+from ._batch import fits_int64
+from .exact import _bareiss_det, is_parallel, primitive_part, rank
 from .intmatrix import IntMatrix
 from .modularity import IdentityAnchoredChecker, is_delta_modular, parallel_violations
 
@@ -167,6 +184,9 @@ def column_universe(delta: int, r: int, mode: str) -> list[tuple[int, ...]]:
     return _sorted_universe(cols)
 
 
+_CLOCK_EVERY = 1024
+
+
 class _Budget:
     def __init__(self, node_limit: int, time_limit: float):
         self.node_limit = node_limit
@@ -175,37 +195,93 @@ class _Budget:
         self.exceeded = False
 
     def tick(self) -> bool:
+        """Count one node. The node limit is exact; the clock is read only
+        every ``_CLOCK_EVERY`` nodes, so the time limit is noticed fewer than
+        that many nodes late."""
         self.nodes += 1
-        if self.nodes > self.node_limit or time.monotonic() > self.deadline:
+        if self.nodes > self.node_limit or (
+                not self.nodes % _CLOCK_EVERY and time.monotonic() > self.deadline):
             self.exceeded = True
         return not self.exceeded
 
 
-def _branch_and_bound(seed_count, cands, try_add, undo, budget, ceiling):
-    """Depth-first max subset with count bound; returns (best, selection)."""
+class _PairRows:
+    """Lazy pairwise-compatibility bitsets over the candidates of one basis.
+
+    ``rows[i]`` is a Python int whose bit j (j > i) is set iff the seed
+    basis plus candidates i and j is delta-modular. A minor of [H | a | b]
+    that uses both candidates is a^T M_S b with M_S[p][q] = det[H_S e_p e_q]
+    for an (r-2)-subset S of the basis columns; the forms are built once
+    and a row is one product of them with every later candidate.
+    """
+
+    def __init__(self, seed_cols, cands, delta: int):
+        r = len(seed_cols)
+        units = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+        forms = []
+        for s in combinations(seed_cols, r - 2) if r > 1 else ():
+            form = [[0] * r for _ in range(r)]
+            for p, q in combinations(range(r), 2):
+                cols = list(s) + [units[p], units[q]]
+                v = _bareiss_det([[c[i] for c in cols] for i in range(r)])
+                form[p][q], form[q][p] = v, -v
+            forms.append(form)
+        # a^T M_S b is a Laplace expansion of an r x r determinant over basis
+        # and candidate entries; every partial sum of it stays within
+        # r! * bound**r, the growth that fits_int64 guards.
+        entry_bound = max((abs(v) for c in list(seed_cols) + list(cands) for v in c),
+                          default=1)
+        dtype = np.int64 if fits_int64(r, entry_bound) else object
+        self.forms = np.array(forms, dtype=dtype).reshape(len(forms), r, r)
+        self.cands = np.array(cands, dtype=dtype).reshape(len(cands), r)
+        self.delta = delta
+        self._rows: list[int | None] = [None] * len(cands)
+
+    def __getitem__(self, i: int) -> int:
+        row = self._rows[i]
+        if row is None:
+            later = self.cands[i + 1:]
+            # dets[j, s] = a_i^T M_s b_j for every later candidate b_j
+            dets = later @ (self.cands[i] @ self.forms).T
+            ok = (abs(dets) <= self.delta).all(axis=1)
+            bits = np.packbits(ok, bitorder="little").tobytes()
+            row = self._rows[i] = int.from_bytes(bits, "little") << (i + 1)
+        return row
+
+
+def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget):
+    """Depth-first max subset with count bound; returns (best, selection).
+
+    ``live`` is the AND of the compatibility rows of the chosen candidates;
+    a candidate outside it still costs a node but skips ``try_add``, which
+    would reject it.
+    """
     best = seed_count
     best_sel: tuple[int, ...] = ()
     sel: list[int] = []
+    n = len(cands)
 
-    def rec(start: int) -> None:
+    def rec(start: int, live: int) -> None:
         nonlocal best, best_sel
-        for i in range(start, len(cands)):
-            if budget.exceeded or best >= ceiling:
+        for i in range(start, n):
+            if budget.exceeded:
                 return
-            if seed_count + len(sel) + (len(cands) - i) <= best:
+            if seed_count + len(sel) + (n - i) <= best:
                 return
             if not budget.tick():
                 return
+            if not live >> i & 1:
+                continue
             if try_add(cands[i]):
                 sel.append(i)
                 if seed_count + len(sel) > best:
                     best = seed_count + len(sel)
                     best_sel = tuple(sel)
-                rec(i + 1)
+                rec(i + 1, live & rows[i])
                 undo()
                 sel.pop()
 
-    rec(0)
+    rec(0, (1 << n) - 1)
     return best, best_sel
 
 
@@ -217,16 +293,13 @@ class _GeneralChecker:
     """
 
     def __init__(self, seed_cols: list[tuple[int, ...]], delta: int, r: int):
-        from itertools import combinations
-        self._combinations = combinations
         self.cols = list(seed_cols)
         self.delta = delta
         self.r = r
 
     def try_add(self, col: tuple[int, ...]) -> bool:
-        from .exact import _bareiss_det
         r = self.r
-        for rest in self._combinations(range(len(self.cols)), r - 1):
+        for rest in combinations(range(len(self.cols)), r - 1):
             chosen = [self.cols[k] for k in rest] + [list(col)]
             d = _bareiss_det([[chosen[c][i] for c in range(r)] for i in range(r)])
             if abs(d) > self.delta:
@@ -243,6 +316,17 @@ def _certificate_matrix(seed_cols, cands, sel) -> IntMatrix:
 
 
 def max_columns_search(config: SearchConfig) -> SearchCertificate:
+    """Largest feasible column set of the configured mode, with certificate.
+
+    ``optimal`` means that the search space was exhausted within the
+    budget; the search never stops early on a count. The certificate's
+    ``ceiling_used`` is delta**2 * C(r+1, 2), reported for reference only.
+    At delta = 1 it is Heller's bound (Heller, "On linear systems with
+    integral valued solutions", Pacific J. Math. 1957: a unimodular rank-r
+    matrix has at most r**2 + r + 1 distinct columns, hence at most
+    C(r+1, 2) pairwise non-parallel nonzero ones); no theorem making it an
+    upper bound at delta >= 2 is relied on.
+    """
     delta, r = config.delta, config.rank
     ceiling = delta * delta * comb(r + 1, 2)
     budget = _Budget(config.node_limit, config.time_limit_seconds)
@@ -252,8 +336,8 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
         cands = [c for c in column_universe(delta, r, config.mode)
                  if not any(is_parallel(c, s) for s in seed_cols)]
         checker = IdentityAnchoredChecker(r, delta)
-        best, sel = _branch_and_bound(r, cands, checker.try_add, checker.pop,
-                                      budget, ceiling)
+        best, sel = _branch_and_bound(r, cands, _PairRows(seed_cols, cands, delta),
+                                      checker.try_add, checker.pop, budget)
         matrix = _certificate_matrix(seed_cols, cands, sel)
         optimal = not budget.exceeded
     elif config.mode == "hnf-exhaustive":
@@ -267,8 +351,9 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
                 checker: object = IdentityAnchoredChecker(r, delta)
             else:
                 checker = _GeneralChecker(seed_cols, delta, r)
-            h_best, sel = _branch_and_bound(r, cands, checker.try_add,
-                                            checker.pop, budget, ceiling)
+            h_best, sel = _branch_and_bound(
+                r, cands, _PairRows(seed_cols, cands, delta),
+                checker.try_add, checker.pop, budget)
             h_matrix = _certificate_matrix(seed_cols, cands, sel)
             if h_best > best or (h_best == best and (
                     matrix is None or h_matrix.entries < matrix.entries)):
@@ -301,7 +386,7 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
     cert = SearchCertificate(best, matrix, optimal, budget.nodes, ceiling)
     if not verify_is_feasible(cert.best_matrix, delta):
         raise AssertionError("search produced an infeasible certificate")
-    if cert.best_count != cert.best_matrix.cols or cert.best_count > ceiling:
+    if cert.best_count != cert.best_matrix.cols:
         raise AssertionError("certificate bookkeeping is inconsistent")
     return cert
 

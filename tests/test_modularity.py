@@ -8,7 +8,7 @@ from deltamod.families import build_A, sporadic_rank3
 from deltamod.intmatrix import DegenerateRankError, IntMatrix
 from deltamod.modularity import (IdentityAnchoredChecker, append_zero_sum_row,
                                  drop_last_row, is_delta_modular,
-                                 modularity_level, parallel_violations)
+                                 modularity_level, parallel_violations, _part_sums)
 from tests._oracles import naive_max_rank_subdet, naive_max_subdet_all_sizes
 
 I3D3 = IntMatrix.from_cols(
@@ -245,13 +245,40 @@ class TestIncrementalChecker:
                     if got:
                         cols.append(list(c))
 
+    def test_trail_part_sums_under_add_and_pop(self):
+        # random add/pop walks: the trail's part sums stay those of the
+        # current extras, and every decision matches a full recheck
+        rng = random.Random(6262)
+        for _ in range(60):
+            r = rng.randint(2, 4)
+            delta = rng.randint(1, 3)
+            checker = IdentityAnchoredChecker(r, delta)
+            units = [[int(i == k) for i in range(r)] for k in range(r)]
+            accepted: list[list[int]] = []
+            for _ in range(rng.randint(4, 14)):
+                if accepted and rng.random() < 0.35:
+                    checker.pop()
+                    accepted.pop()
+                else:
+                    c = tuple(rng.randint(-2, 2) for _ in range(r))
+                    if not any(c):
+                        continue
+                    want = is_delta_modular(
+                        IntMatrix.from_cols(units + accepted + [list(c)]), delta)[0]
+                    assert checker.try_add(c) == want
+                    if want:
+                        accepted.append(list(c))
+                table = _part_sums(checker.extras, r)
+                assert checker.sums == [[row[k] for row in table]
+                                        for k in range(len(checker.extras))]
+
     def test_pop_restores_state(self):
         checker = IdentityAnchoredChecker(3, 3)
         assert checker.try_add((2, 1, 0))
         assert checker.try_add((1, -1, 0))
         checker.pop()
         checker.pop()
-        assert checker.extras == [] and checker.adj == [0, 0, 0]
+        assert checker.extras == [] and checker.sums == [] and checker.adj == [0, 0, 0]
 
 
 def test_parallel_violations_listing():

@@ -1,3 +1,5 @@
+import random
+import time
 from itertools import combinations
 
 import pytest
@@ -7,7 +9,8 @@ from deltamod.families import build_A, build_A_lee, expected_count, sporadic_ran
 from deltamod.intmatrix import IntMatrix
 from deltamod.modularity import is_delta_modular
 from deltamod.search import (SearchConfig, column_universe, hermite_bases,
-                             max_columns_search, verify_is_feasible, _canonical)
+                             max_columns_search, verify_is_feasible, _canonical,
+                             _Budget, _CLOCK_EVERY, _grid_candidates, _PairRows)
 
 
 class TestUniverse:
@@ -135,6 +138,21 @@ class TestCertificates:
         assert not cert.optimal
         assert verify_is_feasible(cert.best_matrix, 2)
 
+    def test_time_limit_downgrades_optimality(self):
+        cert = max_columns_search(SearchConfig(2, 4, "identity-anchored",
+                                               time_limit_seconds=0.01))
+        assert not cert.optimal
+        assert verify_is_feasible(cert.best_matrix, 2)
+
+    def test_budget_counts_nodes_exactly_and_reads_clock_in_blocks(self):
+        by_nodes = _Budget(node_limit=5, time_limit=600.0)
+        assert [by_nodes.tick() for _ in range(6)] == [True] * 5 + [False]
+        by_time = _Budget(node_limit=10 ** 8, time_limit=1e-9)
+        time.sleep(0.001)
+        assert all(by_time.tick() for _ in range(_CLOCK_EVERY - 1))
+        assert not by_time.tick()
+        assert by_time.nodes == _CLOCK_EVERY and by_time.exceeded
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(0, 3, "identity-anchored")
@@ -161,3 +179,83 @@ class TestVerifyFeasible:
     def test_rank_deficient_rejected(self):
         m = IntMatrix.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
         assert not verify_is_feasible(m, 3)
+
+
+def _pair_feasible(h: IntMatrix, a, b, delta: int) -> bool:
+    return is_delta_modular(IntMatrix.from_cols(
+        [list(c) for c in h.columns()] + [list(a), list(b)]), delta)[0]
+
+
+class TestPairFilter:
+    """Bit j of row i is set iff the basis plus candidates i and j is
+    delta-modular, checked against the full modularity decision."""
+
+    def _check(self, h: IntMatrix, delta: int, pairs=None, cands=None) -> _PairRows:
+        if cands is None:
+            cands = _grid_candidates(h, delta)
+        rows = _PairRows(h.columns(), cands, delta)
+        if pairs is None:
+            pairs = combinations(range(len(cands)), 2)
+        for i, j in pairs:
+            got = bool(rows[i] >> j & 1)
+            assert got == _pair_feasible(h, cands[i], cands[j], delta), (i, j)
+        for i in range(len(cands)):
+            assert rows[i] >> (i + 1) << (i + 1) == rows[i]  # only j > i
+        return rows
+
+    def test_every_pair_every_basis_bimodular_rank3(self):
+        bases = hermite_bases(2, 3)
+        assert IntMatrix.identity(3) in bases
+        for h in bases:
+            self._check(h, 2)
+
+    @pytest.mark.parametrize("delta, r", [(3, 3), (2, 4)])
+    def test_sampled_pairs_identity_basis(self, delta, r):
+        rng = random.Random(1000 * delta + r)
+        n = len(_grid_candidates(IntMatrix.identity(r), delta))
+        pairs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(300)]
+        self._check(IntMatrix.identity(r), delta, pairs)
+
+    def test_exact_rows_for_entries_beyond_int64(self):
+        # entries too large for the int64 guard take the Python-int path
+        rng = random.Random(77)
+        cands = [tuple(rng.randint(-2 ** 40, 2 ** 40) for _ in range(3))
+                 for _ in range(12)]
+        rows = self._check(IntMatrix.identity(3), 2 ** 80, cands=cands)
+        assert rows.forms.dtype == object
+
+    def test_identity_candidates_match_identity_mode(self):
+        r, delta = 3, 2
+        seed = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+        mode_cands = [c for c in column_universe(delta, r, "identity-anchored")
+                      if not any(is_parallel(c, s) for s in seed)]
+        assert mode_cands == _grid_candidates(IntMatrix.identity(r), delta)
+
+
+# Outputs of the benchmark's four search configurations; the pair filter
+# and the budget must leave every node, count and certificate unchanged.
+PINNED_SEARCHES = [
+    (SearchConfig(2, 3, "identity-anchored"), 9, True, 43087,
+     [[1, 0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 1, -1, -1, -1, -2],
+      [0, 0, 1, -1, 1, -1, 0, 1, 0]]),
+    (SearchConfig(2, 3, "hnf-exhaustive"), 9, True, 44822,
+     [[1, 0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 1, -1, -1, -1, -2],
+      [0, 0, 1, -1, 1, -1, 0, 1, 0]]),
+    (SearchConfig(2, 4, "identity-anchored", node_limit=20000), 13, False, 20001,
+     [[1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1],
+      [0, 1, 0, 0, 0, 0, 1, 1, 1, -1, -1, -1, -1],
+      [0, 0, 1, 0, 1, 1, -1, -1, -1, 0, 1, 1, 1],
+      [0, 0, 0, 1, -1, 1, -1, 0, 1, 0, -1, 0, 1]]),
+    (SearchConfig(3, 3, "identity-anchored", node_limit=30000), 11, False, 30001,
+     [[1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1], [0, 1, 0, 1, 1, -1, -1, -1, 1, -2, -1],
+      [0, 0, 1, -1, 1, -1, 0, 1, -2, 1, 2]]),
+]
+
+
+@pytest.mark.parametrize("config, count, optimal, nodes, entries", PINNED_SEARCHES,
+                         ids=["2-3-identity", "2-3-hnf", "2-4-identity-20k",
+                              "3-3-identity-30k"])
+def test_pinned_search_outputs(config, count, optimal, nodes, entries):
+    cert = max_columns_search(config)
+    assert (cert.best_count, cert.optimal, cert.nodes_explored) == (count, optimal, nodes)
+    assert cert.best_matrix == IntMatrix.from_rows(entries)
