@@ -179,6 +179,13 @@ def primitive_part(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
+def _canonical(col: Sequence[int]) -> tuple[int, ...]:
+    """Primitive part with a positive leading entry: equal iff parallel."""
+    c = primitive_part(col)
+    lead = next(v for v in c if v)
+    return c if lead > 0 else tuple(-v for v in c)
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
     while ng:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .exact import is_parallel
+from .exact import _canonical, is_parallel
 from .families import ExtremalMatrix, Partition, build_A, build_A_lee, partitions
 from .intmatrix import IntMatrix
 
@@ -102,41 +102,33 @@ def parallel_classes(m: IntMatrix) -> ParallelClasses:
     return ParallelClasses(tuple(tuple(cl) for cl in classes), tuple(loops))
 
 
-def _rank_le_2(u, v, w) -> bool:
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                d = (u[i] * (v[j] * w[k] - v[k] * w[j])
-                     - v[i] * (u[j] * w[k] - u[k] * w[j])
-                     + w[i] * (u[j] * v[k] - u[k] * v[j]))
-                if d:
-                    return False
-    return True
-
-
 def _long_lines(m: IntMatrix, e: int) -> list[tuple[tuple[int, ...], int]]:
-    """Long lines through column e with their point counts, sorted."""
+    """Long lines through column e with their point counts, sorted.
+
+    With ce[p] != 0, the linear map c -> ce[p] * c - c[p] * ce has kernel
+    span(ce), so two columns lie on one line through e iff their images are
+    parallel. Columns parallel to e map to zero and lie on every line.
+    """
     cols = m.columns()
-    ce = cols[e]
+    ce = m.column(e)
     if not any(ce):
         raise ValueError("designated column is zero")
-    class_of = {}
-    for ci, cl in enumerate(parallel_classes(m).classes):
-        for j in cl:
-            class_of[j] = ci
-    nonzero = sorted(class_of)
-    assigned = {j for j in nonzero if class_of[j] == class_of[e]}
-    lines = []
-    for f in nonzero:
-        if f in assigned:
+    p = next(i for i, v in enumerate(ce) if v)
+    through_e: list[int] = []
+    by_image: dict[tuple[int, ...], list[int]] = {}
+    for j, c in enumerate(cols):
+        if not any(c):
             continue
-        line = [j for j in nonzero
-                if _rank_le_2(ce, cols[f], cols[j])]
-        assigned.update(line)
-        points = len({class_of[j] for j in line})
+        image = tuple(ce[p] * v - c[p] * w for v, w in zip(c, ce))
+        if any(image):
+            by_image.setdefault(_canonical(image), []).append(j)
+        else:
+            through_e.append(j)
+    lines = []
+    for members in by_image.values():
+        points = 1 + len({_canonical(cols[j]) for j in members})
         if points >= 3:
-            lines.append((tuple(sorted(line)), points))
+            lines.append((tuple(sorted(members + through_e)), points))
     lines.sort(key=lambda lw: lw[0])
     return lines
 

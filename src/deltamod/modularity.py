@@ -86,6 +86,17 @@ class _Split:
     extras: tuple[int, ...]                # column indices of general columns
 
 
+def _classify(col: tuple[int, ...]) -> tuple[str, object]:
+    """("unit", i) for +-e_i, ("edge", (i, j)) for +-(e_i - e_j) with i < j,
+    and ("extra", None) for any other nonzero column."""
+    nz = [(i, v) for i, v in enumerate(col) if v]
+    if len(nz) == 1 and abs(nz[0][1]) == 1:
+        return "unit", nz[0][0]
+    if len(nz) == 2 and abs(nz[0][1]) == 1 and nz[0][1] + nz[1][1] == 0:
+        return "edge", (nz[0][0], nz[1][0])
+    return "extra", None
+
+
 def _split_identity_anchored(m: IntMatrix) -> _Split | None:
     r = m.rows
     unit_for_row: dict[int, int] = {}
@@ -93,16 +104,15 @@ def _split_identity_anchored(m: IntMatrix) -> _Split | None:
     extras: list[int] = []
     for j in range(m.cols):
         col = m.column(j)
-        nz = [(i, v) for i, v in enumerate(col) if v]
-        if not nz:
+        if not any(col):
             continue
-        if len(nz) == 1 and abs(nz[0][1]) == 1:
-            unit_for_row.setdefault(nz[0][0], j)
-            continue
-        if (len(nz) == 2 and abs(nz[0][1]) == 1 and nz[0][1] + nz[1][1] == 0):
-            edge_for_pair.setdefault((nz[0][0], nz[1][0]), j)
-            continue
-        extras.append(j)
+        kind, data = _classify(col)
+        if kind == "unit":
+            unit_for_row.setdefault(data, j)
+        elif kind == "edge":
+            edge_for_pair.setdefault(data, j)
+        else:
+            extras.append(j)
     if len(unit_for_row) != r:
         return None
     adj = [0] * r
@@ -408,16 +418,8 @@ class IdentityAnchoredChecker:
         self.sums: list[list[int]] = []
         self._trail: list[tuple[str, object]] = []
 
-    def _classify(self, col: tuple[int, ...]) -> tuple[str, object]:
-        nz = [(i, v) for i, v in enumerate(col) if v]
-        if len(nz) == 1 and abs(nz[0][1]) == 1:
-            return "unit", nz[0][0]
-        if len(nz) == 2 and abs(nz[0][1]) == 1 and nz[0][1] + nz[1][1] == 0:
-            return "edge", (nz[0][0], nz[1][0])
-        return "extra", col
-
     def try_add(self, col: tuple[int, ...]) -> bool:
-        kind, data = self._classify(col)
+        kind, data = _classify(col)
         if kind == "unit":
             self._trail.append(("unit", None))
             return True

@@ -5,7 +5,8 @@ non-parallel columns of a rank-r integer matrix whose rank-sized
 subdeterminants all stay within delta. Three modes:
 
 * identity-anchored: seeds the unit basis and searches the class of
-  matrices containing it. Any entry of such a matrix is itself a full-rank
+  matrices containing it, as the hnf-exhaustive loop below run over that
+  one basis. Any entry of such a matrix is itself a full-rank
   subdeterminant up to sign (complete the column with unit columns), so
   candidates range over [-delta, delta]^r; the optimum is class-relative.
 
@@ -55,7 +56,7 @@ from math import comb, gcd
 import numpy as np
 
 from ._batch import fits_int64
-from .exact import _bareiss_det, is_parallel, primitive_part, rank
+from .exact import _bareiss_det, _canonical, is_parallel, rank
 from .intmatrix import IntMatrix
 from .modularity import IdentityAnchoredChecker, is_delta_modular, parallel_violations
 
@@ -96,22 +97,8 @@ class SearchCertificate:
                 "ceiling": self.ceiling_used}
 
 
-def _canonical(col: tuple[int, ...]) -> tuple[int, ...]:
-    c = primitive_part(col)
-    lead = next(v for v in c if v)
-    return c if lead > 0 else tuple(-v for v in c)
-
-
 def _sorted_universe(cols: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return sorted(cols, key=lambda c: (max(abs(v) for v in c), c))
-
-
-def _box_universe(delta: int, r: int) -> list[tuple[int, ...]]:
-    cols = set()
-    for v in product(range(-delta, delta + 1), repeat=r):
-        if any(v):
-            cols.add(_canonical(v))
-    return _sorted_universe(cols)
 
 
 def hermite_bases(delta: int, r: int) -> list[IntMatrix]:
@@ -155,7 +142,6 @@ def _grid_candidates(h: IntMatrix, delta: int) -> list[tuple[int, ...]]:
     d = 1
     for k in range(r):
         d *= h.entries[k][k]
-    seed_cols = h.columns()
     cols = set()
     for y in product(range(-delta, delta + 1), repeat=r):
         if not any(y):
@@ -163,22 +149,23 @@ def _grid_candidates(h: IntMatrix, delta: int) -> list[tuple[int, ...]]:
         v = [sum(h.entries[i][j] * y[j] for j in range(r)) for i in range(r)]
         if any(x % d for x in v):
             continue
-        c = tuple(x // d for x in v)
-        c = _canonical(c)
-        if any(is_parallel(c, s) for s in seed_cols):
-            continue
-        cols.add(c)
-    return _sorted_universe(cols)
+        cols.add(_canonical(tuple(x // d for x in v)))
+    seed_cols = h.columns()
+    return _sorted_universe({c for c in cols
+                             if not any(is_parallel(c, s) for s in seed_cols)})
+
+
+def _seed_bases(delta: int, r: int, mode: str) -> list[IntMatrix]:
+    """Every Hermite basis for hnf-exhaustive, the unit basis otherwise."""
+    return hermite_bases(delta, r) if mode == "hnf-exhaustive" else [IntMatrix.identity(r)]
 
 
 def column_universe(delta: int, r: int, mode: str) -> list[tuple[int, ...]]:
     """Primitive, sign-canonical, pairwise non-parallel candidate columns."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode in ("identity-anchored", "greedy-seeded"):
-        return _box_universe(delta, r)
     cols: set[tuple[int, ...]] = set()
-    for h in hermite_bases(delta, r):
+    for h in _seed_bases(delta, r, mode):
         cols.update(_canonical(c) for c in h.columns())
         cols.update(_grid_candidates(h, delta))
     return _sorted_universe(cols)
@@ -331,23 +318,13 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
     ceiling = delta * delta * comb(r + 1, 2)
     budget = _Budget(config.node_limit, config.time_limit_seconds)
 
-    if config.mode == "identity-anchored":
-        seed_cols = [tuple(int(i == k) for i in range(r)) for k in range(r)]
-        cands = [c for c in column_universe(delta, r, config.mode)
-                 if not any(is_parallel(c, s) for s in seed_cols)]
-        checker = IdentityAnchoredChecker(r, delta)
-        best, sel = _branch_and_bound(r, cands, _PairRows(seed_cols, cands, delta),
-                                      checker.try_add, checker.pop, budget)
-        matrix = _certificate_matrix(seed_cols, cands, sel)
-        optimal = not budget.exceeded
-    elif config.mode == "hnf-exhaustive":
+    if config.mode != "greedy-seeded":
         best = 0
         matrix = None
-        for h in hermite_bases(delta, r):
+        for h in _seed_bases(delta, r, config.mode):
             seed_cols = h.columns()
             cands = _grid_candidates(h, delta)
-            is_identity = h == IntMatrix.identity(r)
-            if is_identity:
+            if h == IntMatrix.identity(r):
                 checker: object = IdentityAnchoredChecker(r, delta)
             else:
                 checker = _GeneralChecker(seed_cols, delta, r)

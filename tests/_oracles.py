@@ -63,3 +63,27 @@ def naive_first_max_rank_subdet(m: IntMatrix, bound: int | None = None):
             if best is None or d > best[0]:
                 best = (d, cols, rows)
     return best
+
+
+def naive_long_lines(m: IntMatrix, e: int) -> list[tuple[tuple[int, ...], int]]:
+    """(columns, points) of each long line through column e, sorted.
+
+    A line is every nonzero column in the rank-2 span of e and some column f
+    outside the point of e; its points are its columns up to parallelism.
+    """
+    cols = m.columns()
+
+    def rk(*idx):
+        return rank(IntMatrix.from_cols([cols[j] for j in idx]))
+
+    nonzero = [j for j in range(m.cols) if any(cols[j])]
+    lines = set()
+    for f in nonzero:
+        if rk(e, f) < 2:
+            continue
+        line = tuple(j for j in nonzero if rk(e, f, j) <= 2)
+        points = sum(1 for i, j in enumerate(line)
+                     if all(rk(k, j) == 2 for k in line[:i]))
+        if points >= 3:
+            lines.add((line, points))
+    return sorted(lines)

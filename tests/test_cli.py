@@ -122,6 +122,15 @@ class TestSmallCommands:
         assert out1 == out2
         assert out1.strip() == str(line_length_multiset(fam.matrix, 0))
 
+    @pytest.mark.parametrize("element", ["99", "-1"])
+    def test_nu_element_out_of_range_exits_2(self, capsys, tmp_path, element):
+        path = tmp_path / "fam.mat"
+        path.write_text(build_A(3, (1, 1), 4).matrix.to_text())
+        code, _, err = run_cli(capsys, "nu", "--from-matrix", str(path),
+                               "--element", element)
+        assert code == 2
+        assert "out of range" in err
+
     def test_extensions_json(self, capsys):
         code, out, _ = run_cli(capsys, "extensions", "--arity", "2", "--json")
         assert code == 0

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from deltamod.exact import rank
 from deltamod.families import Partition, build_A, build_A_lee, partitions
 from deltamod.intmatrix import IntMatrix
 from deltamod.lines import (LineMultiset, distinguishing_report,
                             line_length_multiset, long_lines_through, nu_formula,
                             parallel_classes, recover_partition)
+from tests._oracles import naive_long_lines
 
 I3D3 = IntMatrix.from_cols(
     [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -1, 0], [1, 0, -1], [0, 1, -1]])
@@ -47,6 +49,23 @@ class TestLongLines:
     def test_zero_designated_column_rejected(self):
         with pytest.raises(ValueError):
             long_lines_through(IntMatrix.from_cols([[0, 0], [1, 0]]), 0)
+
+    def test_matches_naive_oracle(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            r = rng.randint(2, 4)
+            cols = [[rng.randint(-1, 1) for _ in range(r)]
+                    for _ in range(rng.randint(2, 9))]
+            cols += [[2 * v for v in rng.choice(cols)], [0] * r]
+            rng.shuffle(cols)
+            m = IntMatrix.from_cols(cols)
+            for e in range(m.cols):
+                if not any(cols[e]):
+                    continue
+                want = naive_long_lines(m, e)
+                assert long_lines_through(m, e) == [line for line, _ in want]
+                assert line_length_multiset(m, e) == \
+                    LineMultiset.from_lengths(points for _, points in want)
 
     def test_lines_count_points_not_elements(self):
         # a scaled copy on a line must not inflate its length
@@ -90,7 +109,6 @@ class TestProfiles:
     def test_element_count_consistency(self):
         # long lines through the designated column partition the columns
         # they cover; everything else spans a short line with it
-        from deltamod.lines import _rank_le_2
         for (delta, lam, r) in [(3, (2,), 4), (3, (1, 1), 5), (4, (2, 1), 5)]:
             fam = build_A(delta, lam, r)
             cols = fam.matrix.columns()
@@ -106,7 +124,7 @@ class TestProfiles:
                 == fam.matrix.cols
             for j in off_line:
                 span = [k for k in range(fam.matrix.cols)
-                        if _rank_le_2(cols[0], cols[j], cols[k])]
+                        if rank(IntMatrix.from_cols([cols[0], cols[j], cols[k]])) <= 2]
                 assert len(span) == 2  # the short line {designated, j}
 
     def test_invariance_under_column_permutation_and_scaling(self):

@@ -249,12 +249,21 @@ PINNED_SEARCHES = [
     (SearchConfig(3, 3, "identity-anchored", node_limit=30000), 11, False, 30001,
      [[1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1], [0, 1, 0, 1, 1, -1, -1, -1, 1, -2, -1],
       [0, 0, 1, -1, 1, -1, 0, 1, -2, 1, 2]]),
+    (SearchConfig(1, 3, "identity-anchored"), 6, True, 124,
+     [[1, 0, 0, 0, 1, 1], [0, 1, 0, 1, -1, -1], [0, 0, 1, -1, 0, 1]]),
+    (SearchConfig(2, 2, "identity-anchored"), 4, True, 24,
+     [[1, 0, 1, 1], [0, 1, -1, 1]]),
+    (SearchConfig(3, 2, "identity-anchored"), 6, True, 312,
+     [[1, 0, 1, 1, 1, 2], [0, 1, -1, 1, -2, -1]]),
+    (SearchConfig(4, 2, "identity-anchored"), 6, True, 1513,
+     [[1, 0, 1, 1, 1, 1], [0, 1, -1, 1, -2, 2]]),
 ]
 
 
 @pytest.mark.parametrize("config, count, optimal, nodes, entries", PINNED_SEARCHES,
                          ids=["2-3-identity", "2-3-hnf", "2-4-identity-20k",
-                              "3-3-identity-30k"])
+                              "3-3-identity-30k", "1-3-identity", "2-2-identity",
+                              "3-2-identity", "4-2-identity"])
 def test_pinned_search_outputs(config, count, optimal, nodes, entries):
     cert = max_columns_search(config)
     assert (cert.best_count, cert.optimal, cert.nodes_explored) == (count, optimal, nodes)
