@@ -7,8 +7,8 @@ row on top of those rows:
 
     state'[S] = sum over p of (-1)**p * row[S_p] * state[S minus S_p]
 
-so all minors of a level are shared by every subset of the next. Leading
-batch axes carry independent row stacks through the same step.
+so all minors of a level are shared by every subset of the next. The scans
+run one row stack at a time; leading batch axes serve only ``batched_det``.
 
 Arrays are int64 when ``fits_int64`` certifies that no minor can overflow,
 and ``dtype=object`` (exact Python ints) otherwise; the step is the same
@@ -93,21 +93,20 @@ def colex_unrank(k: int, idx: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def check_scan_size(n: int, depth: int, batch: int, dtype: np.dtype) -> None:
+def check_scan_size(n: int, depth: int, dtype: np.dtype) -> None:
     """Refuse a scan of levels 1..depth over n columns that would not fit.
 
-    Level k holds its two index tables, the previous and the new state of
-    every batch entry, and three state-sized temporaries of the step.
+    Level k holds its two index tables, the previous and the new state,
+    and three state-sized temporaries of the step.
     """
     item = _ITEM_BYTES[np.dtype(dtype)]
-    need = max((16 * k * comb(n, k)
-                + item * batch * (comb(n, k - 1) + 4 * comb(n, k))
+    need = max((16 * k * comb(n, k) + item * (comb(n, k - 1) + 4 * comb(n, k))
                 for k in range(1, depth + 1)), default=0)
     if need > MAX_SCAN_BYTES:
         raise ValueError(
-            f"refusing a minor scan of size {depth} over {n} columns x "
-            f"{batch} row subset(s): it needs about {need / 2 ** 30:.1f} GiB, "
-            f"above the {MAX_SCAN_BYTES / 2 ** 30:.0f} GiB limit")
+            f"refusing a minor scan of size {depth} over {n} columns: it needs "
+            f"about {need / 2 ** 30:.1f} GiB, above the "
+            f"{MAX_SCAN_BYTES / 2 ** 30:.0f} GiB limit")
 
 
 def laplace_step(row: np.ndarray, state: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -129,17 +128,20 @@ def laplace_step(row: np.ndarray, state: np.ndarray, n: int, k: int) -> np.ndarr
     return acc
 
 
-def batched_det(a: np.ndarray) -> np.ndarray:
-    """Exact determinants of a stack of square matrices.
+def subset_minors(a: np.ndarray) -> np.ndarray:
+    """Minors of a (..., k, n) stack on every k-subset of columns, in colex order.
 
-    ``a`` has shape (..., n, n); the result has shape (...). The rows go
-    through ``laplace_step`` from the last to the first, so the single
-    n-subset of the final level is the determinant itself.
+    The rows go through ``laplace_step`` from the last to the first.
     """
-    n = a.shape[-1]
-    if a.shape[-2] != n:
-        raise ValueError("matrices must be square")
+    k, n = a.shape[-2:]
     state = np.ones(a.shape[:-2] + (1,), dtype=a.dtype)
-    for k in range(1, n + 1):
-        state = laplace_step(a[..., n - k, :], state, n, k)
-    return state[..., 0]
+    for j in range(1, k + 1):
+        state = laplace_step(a[..., k - j, :], state, n, j)
+    return state
+
+
+def batched_det(a: np.ndarray) -> np.ndarray:
+    """Exact determinants of a stack of square matrices, shape (..., n, n)."""
+    if a.shape[-2] != a.shape[-1]:
+        raise ValueError("matrices must be square")
+    return subset_minors(a)[..., 0]

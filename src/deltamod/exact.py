@@ -3,15 +3,16 @@
 Determinants use fraction-free (Bareiss) elimination over Python ints, so
 results are exact for any entry size. The naive cofactor expansion is kept
 as an independent test oracle. Subdeterminant maxima are found by brute
-enumeration over row and column subsets with the shared minor kernel of
-``_batch``: int64 when its growth guard allows, exact Python ints in numpy
-object arrays otherwise, and refused with ``ValueError`` when the scan
-would not fit in memory. Bareiss recomputes each reported witness.
+enumeration factored through a column basis: the shared minor kernel of
+``_batch`` ranks the row subsets of the basis columns and then the column
+subsets of the best rows, never their product. It runs in int64 when its
+growth guard allows, exact Python ints in numpy object arrays otherwise,
+and refuses with ``ValueError`` a pass that would not fit in memory.
+Bareiss recomputes each reported witness.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import gcd
 from typing import Sequence
 
@@ -79,13 +80,14 @@ def det_cofactor(m: IntMatrix) -> int:
     return rec(tuple(range(n)), tuple(range(n)))
 
 
-def rank(m: IntMatrix) -> int:
-    """Exact rank over the rationals via fraction-free row echelon."""
+def _pivot_cols(m: IntMatrix) -> list[int]:
+    """Pivot columns of a fraction-free row echelon: a column basis."""
     a = [list(r) for r in m.entries]
     n_rows, n_cols = m.rows, m.cols
-    r = 0
+    pivots: list[int] = []
     prev = 1
     for c in range(n_cols):
+        r = len(pivots)
         if r == n_rows:
             break
         piv = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
@@ -99,44 +101,59 @@ def rank(m: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * pivot - aic * a[r][j]) // prev
             a[i][c] = 0
         prev = pivot
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
 
 
-def _scan_subdets(m: IntMatrix, size: int, bound: int | None
-                  ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Max |det| over size x size submatrices, columns outer / rows inner.
+def rank(m: IntMatrix) -> int:
+    """Exact rank over the rationals via fraction-free row echelon."""
+    return len(_pivot_cols(m))
 
-    Returns the maximum and the first attaining (cols, rows) pair in
-    lexicographic order, column subsets outer. With ``bound`` set, returns
-    the first subdeterminant whose absolute value exceeds it instead, if any.
 
-    Every row subset is one batch entry of the minor kernel, and ``size``
-    Laplace steps over all columns give its minors on every column subset,
-    sharing the smaller minors between column subsets.
-    """
-    row_sets = np.array(list(combinations(range(m.rows), size)), dtype=np.intp)
-    dtype = _batch.scan_dtype(size, m.max_abs_entry())
-    _batch.check_scan_size(m.cols, size, len(row_sets), dtype)
-    a = np.array(m.entries, dtype=dtype)
-    state = np.ones((len(row_sets), 1), dtype=dtype)
-    for k in range(1, size + 1):
-        state = _batch.laplace_step(a[row_sets[:, size - k]], state, m.cols, k)
-    dets = np.abs(state)
-    hits = None if bound is None else dets > bound
-    if hits is None or not hits.any():
-        hits = dets == dets.max()
-    # first hit in lexicographic order: narrow the hit column sets by each
-    # position in turn, then take the first row set of the one left
-    cands = np.flatnonzero(hits.any(axis=0))
-    combos = _batch.colex_tables(m.cols, size)[0]
-    for at_p in combos:
+def _first_lex(hits: np.ndarray, n: int, k: int) -> int:
+    """Colex index of the lexicographically first k-subset where ``hits`` holds."""
+    cands = np.flatnonzero(hits)
+    for at_p in _batch.colex_tables(n, k)[0]:
         col = at_p[cands]
         cands = cands[col == col.min()]
-    cset = cands[0]
-    rset = int(np.argmax(hits[:, cset]))
-    return (int(dets[rset, cset]), tuple(combos[:, cset].tolist()),
-            tuple(row_sets[rset].tolist()))
+    return int(cands[0])
+
+
+def _scan_subdets(m: IntMatrix, bound: int | None) -> tuple[int, SubmatrixWitness]:
+    """Max |det| over rank x rank submatrices and its first witness.
+
+    Lexicographic, column subsets outer; with ``bound``, the first |det|
+    above it instead, if any. For pivot columns S0, every minor is
+    det A[R,S] = det A[R,S0] * det A[R*,S] / det A[R*,S0], where R* is the
+    first row set maximizing |det A[R*,S0]|. So one kernel pass over the row
+    subsets of A[:,S0] and one over the column subsets of A[R*,:] rank both,
+    and S has a row set above ``bound`` iff |det A[R*,S]| is above it.
+    """
+    basis = _pivot_cols(m)
+    r = len(basis)
+    if r == 0:
+        raise DegenerateRankError("zero matrix has no full-rank submatrix")
+    dtype = _batch.scan_dtype(r, m.max_abs_entry())
+    _batch.check_scan_size(m.rows, r, dtype)
+    _batch.check_scan_size(m.cols, r, dtype)
+    a = np.array(m.entries, dtype=dtype)
+    row_dets = np.abs(_batch.subset_minors(a[:, basis].T))
+    row_max = int(row_dets.max())
+    top = _first_lex(row_dets == row_max, m.rows, r)
+    col_dets = np.abs(_batch.subset_minors(a[list(_batch.colex_unrank(r, top))]))
+    if bound is not None and (col_dets > bound).any():
+        c = _first_lex(col_dets > bound, m.cols, r)
+        b = int(col_dets[c])  # Python ints: two int64 minors can overflow
+        top = _first_lex(row_dets.astype(object) * b > bound * row_max, m.rows, r)
+        value = int(row_dets[top]) * b // row_max
+    else:
+        value = int(col_dets.max())
+        c = _first_lex(col_dets == value, m.cols, r)
+    rset, cset = _batch.colex_unrank(r, top), _batch.colex_unrank(r, c)
+    d = det(m.submatrix(rset, cset))
+    if abs(d) != value:
+        raise RuntimeError(f"witness determinant {d} disagrees with the scanned value {value}")
+    return value, SubmatrixWitness(rset, cset, d)
 
 
 def max_abs_full_rank_subdet(m: IntMatrix) -> tuple[int, SubmatrixWitness]:
@@ -145,14 +162,7 @@ def max_abs_full_rank_subdet(m: IntMatrix) -> tuple[int, SubmatrixWitness]:
     The witness is the first maximizer in lexicographic order with column
     subsets in the outer loop, which pins the result for golden tests.
     """
-    r = rank(m)
-    if r == 0:
-        raise DegenerateRankError("zero matrix has no full-rank submatrix")
-    best, cset, rset = _scan_subdets(m, r, None)
-    value = det(m.submatrix(rset, cset))
-    if abs(value) != best:
-        raise RuntimeError(f"witness determinant {value} disagrees with the scan maximum {best}")
-    return best, SubmatrixWitness(tuple(rset), tuple(cset), value)
+    return _scan_subdets(m, None)
 
 
 def is_parallel(u: Sequence[int], v: Sequence[int]) -> bool:

@@ -343,5 +343,5 @@ def corner_det(a: int, b: int, c: int, d: int, e: int) -> int:
     direct = abs(det(m))
     formula = abs((a + c) - (b + d) * e)
     if direct != formula:
-        raise AssertionError(f"corner formula disagrees: {direct} vs {formula}")
+        raise RuntimeError(f"corner formula disagrees: {direct} vs {formula}")
     return direct

@@ -23,8 +23,9 @@ strategies are dispatched on matrix structure:
   column-sum row) preserves the level and usually exposes an identity
   anchor.
 
-* general: brute-force enumeration over rank-sized row and column subsets,
-  columns outer, rows inner, lexicographic, through the same kernel.
+* general: brute force over rank-sized subsets factored through a column
+  basis: one kernel pass over row subsets, one over column subsets, first
+  hit in lexicographic order, columns outer (``exact._scan_subdets``).
 
 A scan too large for memory is refused with ``ValueError`` before it
 starts. The identity-anchored path is cross-validated against the
@@ -40,7 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _batch
-from .exact import _bareiss_det, det, is_parallel, rank
+from .exact import _bareiss_det, _scan_subdets, det, is_parallel, rank
 from .intmatrix import DegenerateRankError, IntMatrix, SubmatrixWitness
 
 _MAX_FAST_ROWS = 12
@@ -206,7 +207,7 @@ def _spanning_tree_cols(mask: int, split: _Split) -> list[int]:
             frontier.append(j)
             cols.append(edge_col[(min(i, j), max(i, j))])
     if len(seen) != len(rows):
-        raise AssertionError("part is not connected")
+        raise RuntimeError("part is not connected")
     return cols
 
 
@@ -306,7 +307,7 @@ def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
     max_depth = min(r, nx)
     col_bound = max(sum(abs(v) for v in col) for col in extras_cols)
     dtype = _batch.scan_dtype(max_depth, col_bound)
-    _batch.check_scan_size(nx, max_depth, 1, dtype)
+    _batch.check_scan_size(nx, max_depth, dtype)
     sums = np.array(_part_sums(extras_cols, r), dtype=dtype)
 
     scan = _SubsetScan(sums, conn, nx, bound)
@@ -330,13 +331,7 @@ def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
 
 
 def _scan_general(m: IntMatrix, bound: int | None) -> tuple[int, SubmatrixWitness]:
-    from .exact import _scan_subdets
-    r = rank(m)
-    if r == 0:
-        raise DegenerateRankError("zero matrix")
-    value, cset, rset = _scan_subdets(m, r, bound)
-    d = det(m.submatrix(rset, cset))
-    return value, SubmatrixWitness(tuple(rset), tuple(cset), d)
+    return _scan_subdets(m, bound)
 
 
 def _minor_scan(m: IntMatrix, bound: int | None) -> tuple[int, SubmatrixWitness]:

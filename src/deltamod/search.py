@@ -362,9 +362,9 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
 
     cert = SearchCertificate(best, matrix, optimal, budget.nodes, ceiling)
     if not verify_is_feasible(cert.best_matrix, delta):
-        raise AssertionError("search produced an infeasible certificate")
+        raise RuntimeError("search produced an infeasible certificate")
     if cert.best_count != cert.best_matrix.cols:
-        raise AssertionError("certificate bookkeeping is inconsistent")
+        raise RuntimeError("certificate bookkeeping is inconsistent")
     return cert
 
 

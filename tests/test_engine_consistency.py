@@ -13,7 +13,7 @@ import pytest
 
 from deltamod._batch import batched_det, colex_tables, colex_unrank, fits_int64
 from deltamod.cli import run
-from deltamod.exact import det_cofactor, max_abs_full_rank_subdet, rank
+from deltamod.exact import det, det_cofactor, max_abs_full_rank_subdet, rank
 from deltamod.intmatrix import IntMatrix
 from deltamod.modularity import (_connected_masks, _split_identity_anchored,
                                  append_zero_sum_row, is_delta_modular,
@@ -109,6 +109,23 @@ class TestDecisionWitnessOrder:
         assert witness.col_indices == (0, 1)  # det 4 beats bound first
         assert witness.row_indices == (0, 1)
 
+    @staticmethod
+    def _matches_naive_first_hit(m):
+        """False if m does not take the general strategy, else checks it."""
+        if (rank(m) == 0 or _split_identity_anchored(m) is not None
+                or all(sum(m.column(j)) == 0 for j in range(m.cols))):
+            return False
+        value, witness = max_abs_full_rank_subdet(m)
+        assert (value, witness.col_indices, witness.row_indices) == \
+            naive_first_max_rank_subdet(m)
+        for bound in {1, max(1, value // 2), max(1, value - 1), value}:
+            ok, hit = is_delta_modular(m, bound)
+            want = naive_first_max_rank_subdet(m, bound)
+            assert ok == (want[0] <= bound)
+            if not ok:
+                assert (abs(hit.det_value), hit.col_indices, hit.row_indices) == want
+        return True
+
     def test_general_scan_matches_naive_first_hit(self):
         # value and witness of the maximum, and the first violator of each
         # bound, against cofactor determinants in the same order; small
@@ -122,20 +139,24 @@ class TestDecisionWitnessOrder:
             ent += [[rng.randint(-big, big) for _ in ent[0]] for _ in range(n_rows - 1)]
             if rng.random() < 0.5:
                 ent[-1] = [a - 2 * b for a, b in zip(ent[0], ent[1])]
+            checked += self._matches_naive_first_hit(IntMatrix.from_rows(ent))
+        # rows = rank + 2: the first violating rows come from the row factor,
+        # whose product of two minors overflows int64 at rank 1 and entries
+        # near 2**40 although each minor fits
+        checked = 0
+        while checked < 60:
+            r = rng.randint(1, 3)
+            big = rng.choice([2, 5, 2 ** 30, 2 ** 40])
+            n_cols = rng.randint(r, 5)
+            ent = [[rng.randint(-big, big) for _ in range(n_cols)] for _ in range(r)]
+            for _ in range(2):
+                coef = [rng.randint(-2, 2) for _ in range(r)]
+                ent.append([sum(c * row[j] for c, row in zip(coef, ent))
+                            for j in range(n_cols)])
+            rng.shuffle(ent)
             m = IntMatrix.from_rows(ent)
-            if (rank(m) == 0 or _split_identity_anchored(m) is not None
-                    or all(sum(m.column(j)) == 0 for j in range(m.cols))):
-                continue  # not the general strategy
-            value, witness = max_abs_full_rank_subdet(m)
-            assert (value, witness.col_indices, witness.row_indices) == \
-                naive_first_max_rank_subdet(m)
-            for bound in {1, max(1, value // 2), max(1, value - 1), value}:
-                ok, hit = is_delta_modular(m, bound)
-                want = naive_first_max_rank_subdet(m, bound)
-                assert ok == (want[0] <= bound)
-                if not ok:
-                    assert (abs(hit.det_value), hit.col_indices, hit.row_indices) == want
-            checked += 1
+            if rank(m) == r:
+                checked += self._matches_naive_first_hit(m)
 
     def test_decision_and_measure_agree_on_flag(self):
         rng = random.Random(1122)
@@ -201,6 +222,25 @@ class TestScanLimit:
         path.write_text(m.to_text())
         assert run(["check", "--delta", "3", str(path)]) == 2
         assert "refusing a minor scan" in capsys.readouterr().err
+
+    def test_tall_general_scan_is_scanned(self, tmp_path, capsys):
+        # 19 rows of rank 14: the row subsets are ranked on a column basis
+        # apart from the column subsets, so C(19, 14) never multiplies them
+        rng = random.Random(1914)
+        m = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(14)]
+                                 for _ in range(19)])
+        assert rank(m) == 14
+        value, witness = max_abs_full_rank_subdet(m)
+        assert witness.col_indices == tuple(range(14))
+        assert abs(det(m.submatrix(witness.row_indices, witness.col_indices))) \
+            == abs(witness.det_value) == value
+        for _ in range(200):
+            rows = sorted(rng.sample(range(19), 14))
+            assert abs(det(m.submatrix(rows, range(14)))) <= value
+        path = tmp_path / "tall.mat"
+        path.write_text(m.to_text())
+        assert run(["delta", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == str(value)
 
     def test_identity_anchored_scan_refused(self):
         rng = random.Random(1240)
