@@ -156,6 +156,8 @@ def _cmd_search(args) -> int:
                           seed_matrix=seed)
     cert = max_columns_search(config)
     print(json.dumps(cert.to_json_dict(), sort_keys=True))
+    if args.stats:
+        print(json.dumps(cert.stats, sort_keys=True), file=sys.stderr)
     return 0
 
 
@@ -242,6 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-limit", type=int, default=10 ** 8)
     p.add_argument("--time-limit", type=float, default=600.0)
     p.add_argument("--seed")
+    p.add_argument("--stats", action="store_true",
+                   help="write search statistics as one JSON object to stderr")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("verify-suite", help="run the acceptance battery")

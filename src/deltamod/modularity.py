@@ -41,7 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _batch
-from .exact import _bareiss_det, _scan_subdets, det, is_parallel, rank
+from .exact import _scan_subdets, det, is_parallel, rank
 from .intmatrix import DegenerateRankError, IntMatrix, SubmatrixWitness
 
 _MAX_FAST_ROWS = 12
@@ -396,13 +396,37 @@ def modularity_level(m: IntMatrix, query: int | None = None) -> ModularityReport
 # -- incremental feasibility for search --------------------------------------
 
 
+@lru_cache(maxsize=4096)
+def _laplace_terms(fam: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], bool], ...]:
+    """(mask, rest of the family, negate) for each row of a t x t determinant
+    over the parts ``fam``, expanded along its last column: the term of
+    row a carries the sign (-1)**(a + t - 1)."""
+    t = len(fam)
+    return tuple((mask, fam[:a] + fam[a + 1:], (t - 1 - a) % 2 == 1)
+                 for a, mask in enumerate(fam))
+
+
+@lru_cache(maxsize=4096)
+def _expansions(conn: tuple[int, ...], t: int) -> tuple[tuple, ...]:
+    """``_laplace_terms`` of every family of t disjoint masks of conn."""
+    return tuple(_laplace_terms(fam) for fam in _disjoint_families(conn, t))
+
+
 class IdentityAnchoredChecker:
     """Grow a column set over a fixed unit basis with exact bound checks.
 
     ``try_add`` verifies only the minors that involve the incoming column;
     subsets of feasible sets are feasible, so this matches a full recheck.
-    ``sums[k]`` holds the part sums of ``extras[k]`` (``_mask_sums``); an
-    accepted extra pushes its column of sums and ``pop`` drops it.
+    The trail holds, per accepted extra k, its part sums ``sums[k]``
+    (``_mask_sums``) and its minor table ``minors[k]``:
+    ``minors[k][rest][fam]`` is the determinant whose columns are the part
+    sums of the extras ``rest + (k,)`` (ascending indices) and whose rows
+    are the parts ``fam`` (ascending masks, one per column). A minor
+    depends on part sums only, not on ``adj``, so an entry stays valid
+    while extra k is on the trail; an edge accepted later only adds
+    families. Entries are filled on first use by expanding along column k,
+    and ``pop`` drops them with the extra. An incoming column is checked by
+    the same expansion along itself, over the held minors of the extras.
     """
 
     def __init__(self, r: int, delta: int):
@@ -411,28 +435,33 @@ class IdentityAnchoredChecker:
         self.adj = [0] * r
         self.extras: list[tuple[int, ...]] = []
         self.sums: list[list[int]] = []
+        self.minors: list[dict[tuple[int, ...], dict[tuple[int, ...], int]]] = []
         self._trail: list[tuple[str, object]] = []
+        # try_add calls and accepts; held-minor lookups that hit and fills
+        self.calls = self.accepted = self.hits = self.fills = 0
 
     def try_add(self, col: tuple[int, ...]) -> bool:
+        self.calls += 1
         kind, data = _classify(col)
         if kind == "unit":
             self._trail.append(("unit", None))
-            return True
-        if kind == "edge":
+        elif kind == "edge":
             i, j = data  # type: ignore[misc]
-            if self._edge_ok(i, j):
-                self.adj[i] |= 1 << j
-                self.adj[j] |= 1 << i
-                self._trail.append(("edge", (i, j)))
-                return True
-            return False
-        sums = _mask_sums(col, self.r)
-        if self._extra_ok(sums):
+            if not self._edge_ok(i, j):
+                return False
+            self.adj[i] |= 1 << j
+            self.adj[j] |= 1 << i
+            self._trail.append(("edge", (i, j)))
+        else:
+            sums = _mask_sums(col, self.r)
+            if not self._extra_ok(sums):
+                return False
             self.extras.append(col)
             self.sums.append(sums)
+            self.minors.append({})
             self._trail.append(("extra", None))
-            return True
-        return False
+        self.accepted += 1
+        return True
 
     def pop(self) -> None:
         kind, data = self._trail.pop()
@@ -443,40 +472,87 @@ class IdentityAnchoredChecker:
         elif kind == "extra":
             self.extras.pop()
             self.sums.pop()
+            self.minors.pop()
+
+    def stats(self) -> dict[str, int]:
+        return {"tryAdd": self.calls, "accepted": self.accepted,
+                "minorHits": self.hits, "minorFills": self.fills}
+
+    def _minor(self, ks: tuple[int, ...], fam: tuple[int, ...]) -> int:
+        """Minor of the chosen extras ``ks`` over the parts ``fam``."""
+        if len(ks) == 1:
+            return self.sums[ks[0]][fam[0]]
+        held = self.minors[ks[-1]].setdefault(ks[:-1], {})
+        v = held.get(fam)
+        if v is None:
+            v = self._fill(ks, held, fam)
+        else:
+            self.hits += 1
+        return v
+
+    def _fill(self, ks: tuple[int, ...], held: dict, fam: tuple[int, ...]) -> int:
+        """Expand the minor of ``ks`` over ``fam`` along its last column and
+        hold it in ``held``, the table of ``ks``."""
+        col, rest = self.sums[ks[-1]], ks[:-1]
+        v = 0
+        for mask, sub, neg in _laplace_terms(fam):
+            x = col[mask]
+            if x:
+                m = self._minor(rest, sub)
+                v = v - x * m if neg else v + x * m
+        held[fam] = v
+        self.fills += 1
+        return v
 
     def _edge_ok(self, i: int, j: int) -> bool:
-        if not self.extras:
+        nx = len(self.extras)
+        if not nx:
             return True
         new_adj = list(self.adj)
         new_adj[i] |= 1 << j
         new_adj[j] |= 1 << i
         conn = _connected_masks(self.r, tuple(new_adj))
         pair_mask = (1 << i) | (1 << j)
-        sums = self.sums
-        nx = len(sums)
         for t in range(1, min(self.r, nx) + 1):
             for fam in _disjoint_families(conn, t):
                 if not any(mask & pair_mask == pair_mask for mask in fam):
                     continue
-                for cmb in combinations(range(nx), t):
-                    d = _bareiss_det([[sums[k][mask] for k in cmb] for mask in fam])
-                    if abs(d) > self.delta:
+                for ks in combinations(range(nx), t):
+                    if abs(self._minor(ks, fam)) > self.delta:
                         return False
         return True
 
-    def _extra_ok(self, new_sums: list[int]) -> bool:
+    def _extra_ok(self, new: list[int]) -> bool:
+        delta = self.delta
         conn = _connected_masks(self.r, tuple(self.adj))
         # one part: the minors are the part sums themselves
-        if any(abs(new_sums[mask]) > self.delta for mask in conn):
+        if any(abs(new[mask]) > delta for mask in conn):
             return False
-        for t in range(2, min(self.r, len(self.sums) + 1) + 1):
-            families = _disjoint_families(conn, t)
-            if not families:
+        # two parts: 2 x 2 minors with one chosen extra
+        pairs = _disjoint_families(conn, 2)
+        for col in self.sums:
+            for m0, m1 in pairs:
+                if abs(col[m0] * new[m1] - col[m1] * new[m0]) > delta:
+                    return False
+        # t parts: expand along the new column over held minors of t - 1 extras
+        nx = len(self.sums)
+        for t in range(3, min(self.r, nx + 1) + 1):
+            expansions = _expansions(conn, t)
+            if not expansions:
                 break
-            for rest in combinations(self.sums, t - 1):
-                cols = rest + (new_sums,)
-                for fam in families:
-                    d = _bareiss_det([[c[mask] for c in cols] for mask in fam])
-                    if abs(d) > self.delta:
+            for rest in combinations(range(nx), t - 1):
+                held = self.minors[rest[-1]].setdefault(rest[:-1], {})
+                for terms in expansions:
+                    d = 0
+                    for mask, sub, neg in terms:
+                        x = new[mask]
+                        if x:
+                            m = held.get(sub)
+                            if m is None:
+                                m = self._fill(rest, held, sub)
+                            else:
+                                self.hits += 1
+                            d = d - x * m if neg else d + x * m
+                    if abs(d) > delta:
                         return False
         return True

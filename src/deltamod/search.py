@@ -49,7 +49,8 @@ same order, with the same count and certificate, as without the filter.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb, gcd
 
@@ -88,6 +89,8 @@ class SearchCertificate:
     optimal: bool
     nodes_explored: int
     ceiling_used: int
+    # run statistics (``_search_stats``); not part of the JSON certificate
+    stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {"bestCount": self.best_count,
@@ -191,6 +194,11 @@ class _Budget:
             self.exceeded = True
         return not self.exceeded
 
+    def stop_reason(self) -> str:
+        if not self.exceeded:
+            return "exhausted"
+        return "node-limit" if self.nodes > self.node_limit else "time-limit"
+
 
 class _PairRows:
     """Lazy pairwise-compatibility bitsets over the candidates of one basis.
@@ -283,8 +291,10 @@ class _GeneralChecker:
         self.cols = list(seed_cols)
         self.delta = delta
         self.r = r
+        self.calls = self.accepted = 0
 
     def try_add(self, col: tuple[int, ...]) -> bool:
+        self.calls += 1
         r = self.r
         for rest in combinations(range(len(self.cols)), r - 1):
             chosen = [self.cols[k] for k in rest] + [list(col)]
@@ -292,10 +302,32 @@ class _GeneralChecker:
             if abs(d) > self.delta:
                 return False
         self.cols.append(col)
+        self.accepted += 1
         return True
 
     def pop(self) -> None:
         self.cols.pop()
+
+    def stats(self) -> dict[str, int]:
+        return {"tryAdd": self.calls, "accepted": self.accepted}
+
+
+def _search_stats(budget: _Budget, checkers: list[tuple[str, object]]) -> dict:
+    """Nodes, pair-filter skips, per-checker work and the stop reason.
+
+    Every node that passed its budget tick either was skipped by the pair
+    filter or called ``try_add``; the one node whose tick exceeded the
+    budget did neither. The greedy mode has no checker and no pair filter.
+    """
+    per_checker: dict[str, Counter] = {}
+    for name, c in checkers:
+        per_checker.setdefault(name, Counter()).update(c.stats())
+    calls = sum(e["tryAdd"] for e in per_checker.values())
+    skips = budget.nodes - calls - int(budget.exceeded) if checkers else 0
+    return {"nodes": budget.nodes,
+            "pairFilterSkips": skips,
+            "checkers": {name: dict(e) for name, e in per_checker.items()},
+            "stop": budget.stop_reason()}
 
 
 def _certificate_matrix(seed_cols, cands, sel) -> IntMatrix:
@@ -317,6 +349,7 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
     delta, r = config.delta, config.rank
     ceiling = delta * delta * comb(r + 1, 2)
     budget = _Budget(config.node_limit, config.time_limit_seconds)
+    checkers: list[tuple[str, object]] = []
 
     if config.mode != "greedy-seeded":
         best = 0
@@ -324,10 +357,12 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
         for h in _seed_bases(delta, r, config.mode):
             seed_cols = h.columns()
             cands = _grid_candidates(h, delta)
+            checker: object
             if h == IntMatrix.identity(r):
-                checker: object = IdentityAnchoredChecker(r, delta)
+                name, checker = "identity-anchored", IdentityAnchoredChecker(r, delta)
             else:
-                checker = _GeneralChecker(seed_cols, delta, r)
+                name, checker = "general", _GeneralChecker(seed_cols, delta, r)
+            checkers.append((name, checker))
             h_best, sel = _branch_and_bound(
                 r, cands, _PairRows(seed_cols, cands, delta),
                 checker.try_add, checker.pop, budget)
@@ -360,7 +395,8 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
         best = len(cols)
         optimal = False
 
-    cert = SearchCertificate(best, matrix, optimal, budget.nodes, ceiling)
+    cert = SearchCertificate(best, matrix, optimal, budget.nodes, ceiling,
+                             _search_stats(budget, checkers))
     if not verify_is_feasible(cert.best_matrix, delta):
         raise RuntimeError("search produced an infeasible certificate")
     if cert.best_count != cert.best_matrix.cols:

@@ -155,6 +155,29 @@ class TestSearchCommand:
         assert set(data) == {"bestCount", "optimal", "matrix", "nodes", "ceiling"}
         assert data["bestCount"] == 6 and data["optimal"] is True
 
+    def test_stats_go_to_stderr(self, capsys):
+        args = ("search", "--delta", "2", "--rank", "2", "--mode", "hnf")
+        code, plain, err = run_cli(capsys, *args)
+        assert code == 0 and err == ""
+        code, out, err = run_cli(capsys, *args, "--stats")
+        assert code == 0 and out == plain
+        stats = json.loads(err)
+        assert stats["nodes"] == json.loads(out)["nodes"] and stats["stop"] == "exhausted"
+        assert set(stats["checkers"]) == {"identity-anchored", "general"}
+        calls = sum(c["tryAdd"] for c in stats["checkers"].values())
+        assert stats["pairFilterSkips"] + calls == stats["nodes"]
+
+    def test_stats_name_the_node_limit(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--delta", "2", "--rank", "4",
+                                 "--mode", "identity", "--node-limit", "3000", "--stats")
+        assert code == 0 and json.loads(out)["optimal"] is False
+        stats = json.loads(err)
+        assert stats["stop"] == "node-limit" and stats["nodes"] == 3001
+        ident = stats["checkers"]["identity-anchored"]
+        assert ident["minorFills"] > 0 and ident["minorHits"] > 0
+        # the node whose tick exceeded the limit neither skipped nor called try_add
+        assert stats["pairFilterSkips"] + ident["tryAdd"] + 1 == stats["nodes"]
+
     def test_greedy_with_seed_file(self, capsys, sporadic_file):
         code, out, _ = run_cli(capsys, "search", "--delta", "3", "--rank", "3",
                                "--mode", "greedy", "--seed", sporadic_file)

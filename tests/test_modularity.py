@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from deltamod.exact import rank
+from deltamod.exact import det_cofactor, is_parallel, rank
 from deltamod.extensions import clique_matrix
 from deltamod.families import build_A, sporadic_rank3
 from deltamod.intmatrix import DegenerateRankError, IntMatrix
@@ -272,6 +273,68 @@ class TestIncrementalChecker:
                 assert checker.sums == [[row[k] for row in table]
                                         for k in range(len(checker.extras))]
 
+    def test_trail_minor_tables_under_add_and_pop(self):
+        # random add/pop walks with edges among the extras: every held minor
+        # is the cofactor determinant of its part-sum submatrix, names only
+        # extras on the trail, and every decision matches a full recheck
+        rng = random.Random(7171)
+        edges_after_extras = 0
+        for _ in range(150):
+            r = rng.choice((2, 3, 4))
+            delta = rng.choice((1, 2, 3))
+            checker = IdentityAnchoredChecker(r, delta)
+            units = [[int(i == k) for i in range(r)] for k in range(r)]
+            accepted: list[list[int]] = []
+            for _ in range(rng.randint(10, 30)):
+                if accepted and rng.random() < 0.2:
+                    checker.pop()
+                    accepted.pop()
+                else:
+                    if rng.random() < 0.3:
+                        i, j = rng.sample(range(r), 2)
+                        c = tuple(1 if k == i else -1 if k == j else 0 for k in range(r))
+                    else:
+                        c = tuple(rng.choices(range(-3, 4), (1, 2, 6, 8, 6, 2, 1), k=r))
+                    if not any(c) or any(is_parallel(c, a) for a in accepted):
+                        continue
+                    want = is_delta_modular(
+                        IntMatrix.from_cols(units + accepted + [list(c)]), delta)[0]
+                    assert checker.try_add(c) == want
+                    if want:
+                        accepted.append(list(c))
+                        if sum(map(abs, c)) == 2 and checker.extras:
+                            edges_after_extras += 1
+                self._assert_held_minors(checker)
+        assert edges_after_extras >= 20
+
+    @staticmethod
+    def _assert_held_minors(checker):
+        assert len(checker.minors) == len(checker.extras) == len(checker.sums)
+        for k, table in enumerate(checker.minors):
+            for rest, held in table.items():
+                ks = rest + (k,)
+                assert list(ks) == sorted(set(ks))
+                for fam, value in held.items():
+                    assert len(fam) == len(ks) >= 2
+                    assert list(fam) == sorted(fam)
+                    assert all(not a & b for a, b in combinations(fam, 2))
+                    sub = IntMatrix.from_rows(
+                        [[checker.sums[c][mask] for c in ks] for mask in fam])
+                    assert value == det_cofactor(sub)
+
+    def test_violation_through_part_connected_after_extras(self):
+        # the only violating minor uses the part {0, 1}, which the edge
+        # connects after both earlier extras are on the trail
+        checker = IdentityAnchoredChecker(4, 2)
+        assert checker.try_add((1, 1, -1, -1))
+        assert checker.try_add((0, 0, -1, -1))
+        assert checker.try_add((1, -1, 0, 0))
+        assert not checker.try_add((1, -1, 1, -1))
+        assert any(0b0011 in fam for held in checker.minors[1].values() for fam in held)
+        self._assert_held_minors(checker)
+        checker.pop()
+        assert checker.try_add((1, -1, 1, -1))
+
     def test_pop_restores_state(self):
         checker = IdentityAnchoredChecker(3, 3)
         assert checker.try_add((2, 1, 0))
@@ -279,6 +342,7 @@ class TestIncrementalChecker:
         checker.pop()
         checker.pop()
         assert checker.extras == [] and checker.sums == [] and checker.adj == [0, 0, 0]
+        assert checker.minors == []
 
 
 def test_parallel_violations_listing():
