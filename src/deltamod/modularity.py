@@ -182,13 +182,14 @@ def _part_sums(extras_cols: list[tuple[int, ...]], r: int) -> list[list[int]]:
     return sums
 
 
-def _mask_sums(col: tuple[int, ...], r: int) -> list[int]:
-    """sums[mask] = sum of col over the rows in mask."""
+@lru_cache(maxsize=4096)
+def _mask_sums(col: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """sums[mask] = sum of col over the rows in mask; cached for the search."""
     sums = [0] * (1 << r)
     for mask in range(1, 1 << r):
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + col[low.bit_length() - 1]
-    return sums
+    return tuple(sums)
 
 
 def _spanning_tree_cols(mask: int, split: _Split) -> list[int]:
@@ -407,13 +408,24 @@ def _laplace_terms(fam: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], bo
 
 
 @lru_cache(maxsize=4096)
-def _expansions(conn: tuple[int, ...], t: int) -> tuple[tuple, ...]:
-    """``_laplace_terms`` of every family of t disjoint masks of conn."""
-    return tuple(_laplace_terms(fam) for fam in _disjoint_families(conn, t))
+def _capped(conn: tuple[int, ...], t: int, caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every family of t disjoint masks of conn, then the cap of its union U."""
+    return tuple(fam + (caps[sum(fam).bit_count()],) for fam in _disjoint_families(conn, t))
+
+
+@lru_cache(maxsize=4096)
+def _expansions(conn: tuple[int, ...], t: int, caps: tuple[int, ...]) -> tuple[tuple, ...]:
+    """(``_laplace_terms``, cap) of every family of t disjoint masks of conn."""
+    return tuple((_laplace_terms(e[:-1]), e[-1]) for e in _capped(conn, t, caps))
 
 
 class IdentityAnchoredChecker:
     """Grow a column set over a fixed unit basis with exact bound checks.
+
+    With ``d`` > 1 the columns are basis coordinates adj(B) c over a basis B
+    with |det B| = d (``search._GeneralChecker``). A family of parts with
+    union U stands for minors of k = |U| of them (a spanning tree of each
+    part plus one extra per part), held to ``caps[k]`` = delta * d**(k-1).
 
     ``try_add`` verifies only the minors that involve the incoming column;
     subsets of feasible sets are feasible, so this matches a full recheck.
@@ -429,12 +441,12 @@ class IdentityAnchoredChecker:
     the same expansion along itself, over the held minors of the extras.
     """
 
-    def __init__(self, r: int, delta: int):
+    def __init__(self, r: int, delta: int, d: int = 1):
         self.r = r
-        self.delta = delta
+        self.caps = tuple(delta * d ** max(k - 1, 0) for k in range(r + 1))
         self.adj = [0] * r
         self.extras: list[tuple[int, ...]] = []
-        self.sums: list[list[int]] = []
+        self.sums: list[tuple[int, ...]] = []
         self.minors: list[dict[tuple[int, ...], dict[tuple[int, ...], int]]] = []
         self._trail: list[tuple[str, object]] = []
         # try_add calls and accepts; held-minor lookups that hit and fills
@@ -443,7 +455,8 @@ class IdentityAnchoredChecker:
     def try_add(self, col: tuple[int, ...]) -> bool:
         self.calls += 1
         kind, data = _classify(col)
-        if kind == "unit":
+        if kind == "unit" or kind == "edge" and self.adj[data[0]] >> data[1] & 1:
+            # like a unit column, an edge already held adds no minor to check
             self._trail.append(("unit", None))
         elif kind == "edge":
             i, j = data  # type: ignore[misc]
@@ -517,32 +530,33 @@ class IdentityAnchoredChecker:
             for fam in _disjoint_families(conn, t):
                 if not any(mask & pair_mask == pair_mask for mask in fam):
                     continue
+                cap = self.caps[sum(fam).bit_count()]
                 for ks in combinations(range(nx), t):
-                    if abs(self._minor(ks, fam)) > self.delta:
+                    if abs(self._minor(ks, fam)) > cap:
                         return False
         return True
 
-    def _extra_ok(self, new: list[int]) -> bool:
-        delta = self.delta
+    def _extra_ok(self, new: tuple[int, ...]) -> bool:
+        caps = self.caps
         conn = _connected_masks(self.r, tuple(self.adj))
         # one part: the minors are the part sums themselves
-        if any(abs(new[mask]) > delta for mask in conn):
+        if any(abs(new[mask]) > cap for mask, cap in _capped(conn, 1, caps)):
             return False
         # two parts: 2 x 2 minors with one chosen extra
-        pairs = _disjoint_families(conn, 2)
+        pairs = _capped(conn, 2, caps)
         for col in self.sums:
-            for m0, m1 in pairs:
-                if abs(col[m0] * new[m1] - col[m1] * new[m0]) > delta:
+            for m0, m1, cap in pairs:
+                if abs(col[m0] * new[m1] - col[m1] * new[m0]) > cap:
                     return False
         # t parts: expand along the new column over held minors of t - 1 extras
         nx = len(self.sums)
         for t in range(3, min(self.r, nx + 1) + 1):
-            expansions = _expansions(conn, t)
+            expansions = _expansions(conn, t, caps)
             if not expansions:
                 break
             for rest in combinations(range(nx), t - 1):
                 held = self.minors[rest[-1]].setdefault(rest[:-1], {})
-                for terms in expansions:
+                for terms, cap in expansions:
                     d = 0
                     for mask, sub, neg in terms:
                         x = new[mask]
@@ -553,6 +567,6 @@ class IdentityAnchoredChecker:
                             else:
                                 self.hits += 1
                             d = d - x * m if neg else d + x * m
-                    if abs(d) > delta:
+                    if abs(d) > cap:
                         return False
         return True

@@ -23,8 +23,15 @@ subdeterminants all stay within delta. Three modes:
   candidate grid therefore exhausts the search space, and the maximum
   over bases is exact.
 
-* greedy-seeded: one greedy pass extending a provided feasible matrix;
-  reported as a lower bound only.
+  Every basis is checked in these coordinates: with d = det(H) and
+  Y = adj(H) C, [H | C] = H [I | Y / d], so a rank-sized minor through k
+  columns of C is, up to sign, a k x k minor of Y divided by d**(k-1). The
+  identity-anchored checker, holding each k x k minor of Y to
+  delta * d**(k-1), serves every basis (``_GeneralChecker``).
+
+* greedy-seeded: one greedy pass extending a provided feasible matrix,
+  checked in the basis coordinates of its pivot columns; reported as a
+  lower bound only.
 
 Search is sequential and deterministic: candidates are ordered by
 (max absolute entry, entries), depth-first inclusion is tried in order,
@@ -32,18 +39,18 @@ and only strict improvements replace the incumbent, so the reported
 matrix is the lexicographically least among maximum solutions.
 
 Pair filter. For a seed basis H, bit j of candidate i's compatibility row
-is set iff H plus candidates i and j is delta-modular. Every rank-sized
-minor of [H | a | b] that uses both candidates is det[H_S a b] for an
-(r-2)-subset S of the basis columns, a fixed antisymmetric bilinear form
-in (a, b), so one row is a single exact vectorised product over the later
-candidates (for H = I these are the 2x2 minors of [a b]). The depth-first
-search carries the AND of the rows of the chosen candidates and skips a
-candidate whose bit is clear without asking the exact checker: a superset
-of an infeasible set is infeasible, so that call could only have said no.
-Rows are built the first time their candidate is accepted. A node is still
-one candidate examined: the node budget is charged before the filter, and
-the count bound is unchanged, so every search visits the same nodes in the
-same order, with the same count and certificate, as without the filter.
+is set iff H plus candidates i and j is delta-modular. The minors that use
+both candidates are, by the argument above, the 2 x 2 minors of their
+coordinates [y_i y_j] divided by d, so one row is a single exact
+vectorised product over the later candidates against the cap delta * d.
+The depth-first search carries the AND of the rows of the chosen
+candidates and skips a candidate whose bit is clear without asking the
+exact checker: a superset of an infeasible set is infeasible, so that call
+could only have said no. Rows are built the first time their candidate is
+accepted. A node is still one candidate examined: the node budget is
+charged before the filter, and the count bound is unchanged, so every
+search visits the same nodes in the same order, with the same count and
+certificate, as without the filter.
 """
 
 from __future__ import annotations
@@ -51,14 +58,14 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, product
-from math import comb, gcd
+from itertools import product
+from math import comb, gcd, prod
 
 import numpy as np
 
-from ._batch import fits_int64
-from .exact import _bareiss_det, _canonical, is_parallel, rank
-from .intmatrix import IntMatrix
+from ._batch import scan_dtype, subset_minors
+from .exact import _bareiss_det, _canonical, _pivot_cols, is_parallel, rank
+from .intmatrix import IntMatrix, ShapeError
 from .modularity import IdentityAnchoredChecker, is_delta_modular, parallel_violations
 
 MODES = ("identity-anchored", "hnf-exhaustive", "greedy-seeded")
@@ -122,29 +129,17 @@ def hermite_bases(delta: int, r: int) -> list[IntMatrix]:
         above = [(i, j) for j in range(r) for i in range(j) if diag[j] > 1]
         choices = [range(diag[j]) for (_, j) in above]
         for combo in product(*choices) if above else [()]:
-            h = [[0] * r for _ in range(r)]
-            for k in range(r):
-                h[k][k] = diag[k]
+            h = [[diag[i] if i == j else 0 for j in range(r)] for i in range(r)]
             for (i, j), v in zip(above, combo):
                 h[i][j] = v
-            ok = True
-            for j in range(r):
-                g = 0
-                for i in range(j + 1):
-                    g = gcd(g, h[i][j])
-                if g != 1:
-                    ok = False
-                    break
-            if ok:
+            if all(gcd(*(h[i][j] for i in range(j + 1))) == 1 for j in range(r)):
                 bases.append(IntMatrix.from_rows(h))
     return bases
 
 
 def _grid_candidates(h: IntMatrix, delta: int) -> list[tuple[int, ...]]:
     r = h.rows
-    d = 1
-    for k in range(r):
-        d *= h.entries[k][k]
+    d = prod(h.entries[k][k] for k in range(r))
     cols = set()
     for y in product(range(-delta, delta + 1), repeat=r):
         if not any(y):
@@ -200,45 +195,47 @@ class _Budget:
         return "node-limit" if self.nodes > self.node_limit else "time-limit"
 
 
+def _basis_coords(basis_cols) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj B, |det B|) for the nonsingular basis B with columns ``basis_cols``;
+    a column c has basis coordinates y = adj(B) c, and c = B y / det B."""
+    r = len(basis_cols)
+    rows = [[c[p] for c in basis_cols] for p in range(r)]
+
+    def cofactor(i: int, j: int) -> int:  # (-1)**(i+j) det of B without row j, column i
+        minor = [row[:i] + row[i + 1:] for row in rows[:j] + rows[j + 1:]]
+        return (-1) ** (i + j) * (_bareiss_det(minor) if r > 1 else 1)
+
+    adj = tuple(tuple(cofactor(i, j) for j in range(r)) for i in range(r))
+    return adj, abs(sum(rows[0][q] * adj[q][0] for q in range(r)))
+
+
+def _coords(adj, col) -> tuple[int, ...]:
+    return tuple(sum(a * v for a, v in zip(row, col)) for row in adj)
+
+
 class _PairRows:
     """Lazy pairwise-compatibility bitsets over the candidates of one basis.
 
     ``rows[i]`` is a Python int whose bit j (j > i) is set iff the seed
-    basis plus candidates i and j is delta-modular. A minor of [H | a | b]
-    that uses both candidates is a^T M_S b with M_S[p][q] = det[H_S e_p e_q]
-    for an (r-2)-subset S of the basis columns; the forms are built once
-    and a row is one product of them with every later candidate.
+    basis B plus candidates i and j is delta-modular: iff every 2 x 2 minor
+    of their basis coordinates [y_i y_j] is within delta * |det B|. A row is
+    one kernel pass over the pairs with every later candidate.
     """
 
     def __init__(self, seed_cols, cands, delta: int):
-        r = len(seed_cols)
-        units = [tuple(int(i == k) for i in range(r)) for k in range(r)]
-        forms = []
-        for s in combinations(seed_cols, r - 2) if r > 1 else ():
-            form = [[0] * r for _ in range(r)]
-            for p, q in combinations(range(r), 2):
-                cols = list(s) + [units[p], units[q]]
-                v = _bareiss_det([[c[i] for c in cols] for i in range(r)])
-                form[p][q], form[q][p] = v, -v
-            forms.append(form)
-        # a^T M_S b is a Laplace expansion of an r x r determinant over basis
-        # and candidate entries; every partial sum of it stays within
-        # r! * bound**r, the growth that fits_int64 guards.
-        entry_bound = max((abs(v) for c in list(seed_cols) + list(cands) for v in c),
-                          default=1)
-        dtype = np.int64 if fits_int64(r, entry_bound) else object
-        self.forms = np.array(forms, dtype=dtype).reshape(len(forms), r, r)
-        self.cands = np.array(cands, dtype=dtype).reshape(len(cands), r)
-        self.delta = delta
+        adj, d = _basis_coords(seed_cols)
+        ys = [_coords(adj, c) for c in cands]
+        bound = max((abs(v) for y in ys for v in y), default=1)
+        self.ys = np.array(ys, dtype=scan_dtype(2, bound)).reshape(len(ys), len(adj))
+        self.cap = delta * d
         self._rows: list[int | None] = [None] * len(cands)
 
     def __getitem__(self, i: int) -> int:
         row = self._rows[i]
         if row is None:
-            later = self.cands[i + 1:]
-            # dets[j, s] = a_i^T M_s b_j for every later candidate b_j
-            dets = later @ (self.cands[i] @ self.forms).T
-            ok = (abs(dets) <= self.delta).all(axis=1)
+            later = self.ys[i + 1:]
+            pairs = np.stack([np.broadcast_to(self.ys[i], later.shape), later], axis=1)
+            ok = (abs(subset_minors(pairs)) <= self.cap).all(axis=1)
             bits = np.packbits(ok, bitorder="little").tobytes()
             row = self._rows[i] = int.from_bytes(bits, "little") << (i + 1)
         return row
@@ -280,36 +277,21 @@ def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget):
     return best, best_sel
 
 
-class _GeneralChecker:
-    """Incremental feasibility for matrices without an identity anchor.
+class _GeneralChecker(IdentityAnchoredChecker):
+    """The identity-anchored checker in the basis coordinates y = adj(B) c
+    of a nonsingular basis B, with the caps delta * |det B|**(k-1). Each
+    column's coordinates are kept, as the search offers it again and again."""
 
-    Adding a column only creates rank-sized minors that involve it, so each
-    step checks the new column against all (r-1)-subsets of current ones.
-    """
-
-    def __init__(self, seed_cols: list[tuple[int, ...]], delta: int, r: int):
-        self.cols = list(seed_cols)
-        self.delta = delta
-        self.r = r
-        self.calls = self.accepted = 0
+    def __init__(self, basis_cols, delta: int):
+        self.adjugate, d = _basis_coords(basis_cols)
+        self.coords: dict[tuple[int, ...], tuple[int, ...]] = {}
+        super().__init__(len(basis_cols), delta, d)
 
     def try_add(self, col: tuple[int, ...]) -> bool:
-        self.calls += 1
-        r = self.r
-        for rest in combinations(range(len(self.cols)), r - 1):
-            chosen = [self.cols[k] for k in rest] + [list(col)]
-            d = _bareiss_det([[chosen[c][i] for c in range(r)] for i in range(r)])
-            if abs(d) > self.delta:
-                return False
-        self.cols.append(col)
-        self.accepted += 1
-        return True
-
-    def pop(self) -> None:
-        self.cols.pop()
-
-    def stats(self) -> dict[str, int]:
-        return {"tryAdd": self.calls, "accepted": self.accepted}
+        y = self.coords.get(col)
+        if y is None:
+            y = self.coords[col] = _coords(self.adjugate, col)
+        return super().try_add(y)
 
 
 def _search_stats(budget: _Budget, checkers: list[tuple[str, object]]) -> dict:
@@ -317,7 +299,8 @@ def _search_stats(budget: _Budget, checkers: list[tuple[str, object]]) -> dict:
 
     Every node that passed its budget tick either was skipped by the pair
     filter or called ``try_add``; the one node whose tick exceeded the
-    budget did neither. The greedy mode has no checker and no pair filter.
+    budget did neither. The greedy mode lists no checker and has no pair
+    filter.
     """
     per_checker: dict[str, Counter] = {}
     for name, c in checkers:
@@ -328,10 +311,6 @@ def _search_stats(budget: _Budget, checkers: list[tuple[str, object]]) -> dict:
             "pairFilterSkips": skips,
             "checkers": {name: dict(e) for name, e in per_checker.items()},
             "stop": budget.stop_reason()}
-
-
-def _certificate_matrix(seed_cols, cands, sel) -> IntMatrix:
-    return IntMatrix.from_cols(list(seed_cols) + [list(cands[i]) for i in sel])
 
 
 def max_columns_search(config: SearchConfig) -> SearchCertificate:
@@ -357,16 +336,15 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
         for h in _seed_bases(delta, r, config.mode):
             seed_cols = h.columns()
             cands = _grid_candidates(h, delta)
-            checker: object
             if h == IntMatrix.identity(r):
                 name, checker = "identity-anchored", IdentityAnchoredChecker(r, delta)
             else:
-                name, checker = "general", _GeneralChecker(seed_cols, delta, r)
+                name, checker = "general", _GeneralChecker(seed_cols, delta)
             checkers.append((name, checker))
             h_best, sel = _branch_and_bound(
                 r, cands, _PairRows(seed_cols, cands, delta),
                 checker.try_add, checker.pop, budget)
-            h_matrix = _certificate_matrix(seed_cols, cands, sel)
+            h_matrix = IntMatrix.from_cols(seed_cols + [list(cands[i]) for i in sel])
             if h_best > best or (h_best == best and (
                     matrix is None or h_matrix.entries < matrix.entries)):
                 best = h_best
@@ -378,18 +356,22 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
         if config.seed_matrix is None:
             raise ValueError("greedy-seeded mode requires a seed matrix")
         seed = config.seed_matrix
+        if seed.rows != r:
+            raise ShapeError("the seed matrix must have rank rows")
         if not verify_is_feasible(seed, delta):
             raise ValueError("seed matrix is not feasible")
-        seed_cols = list(seed.columns())
-        cols = list(seed_cols)
+        cols = seed.columns()
+        basis = _pivot_cols(seed)
+        checker = _GeneralChecker([cols[k] for k in basis], delta)
+        for k, c in enumerate(cols):
+            if k not in basis and not checker.try_add(c):
+                raise RuntimeError("the checker rejected a column of a feasible seed")
         for c in column_universe(delta, r, config.mode):
             if not budget.tick():
                 break
             if any(is_parallel(c, s) for s in cols):
                 continue
-            trial = IntMatrix.from_cols(cols + [list(c)])
-            ok, _ = is_delta_modular(trial, delta)
-            if ok:
+            if checker.try_add(c):
                 cols.append(c)
         matrix = IntMatrix.from_cols(cols)
         best = len(cols)

@@ -270,7 +270,7 @@ class TestIncrementalChecker:
                     if want:
                         accepted.append(list(c))
                 table = _part_sums(checker.extras, r)
-                assert checker.sums == [[row[k] for row in table]
+                assert checker.sums == [tuple(row[k] for row in table)
                                         for k in range(len(checker.extras))]
 
     def test_trail_minor_tables_under_add_and_pop(self):
@@ -334,6 +334,18 @@ class TestIncrementalChecker:
         self._assert_held_minors(checker)
         checker.pop()
         assert checker.try_add((1, -1, 1, -1))
+
+    def test_pop_keeps_an_edge_added_twice(self):
+        checker = IdentityAnchoredChecker(3, 1)
+        assert checker.try_add((1, -1, 0))
+        assert checker.try_add((1, -1, 0))
+        checker.pop()
+        assert checker.adj == [0b010, 0b001, 0]
+        units = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert not is_delta_modular(IntMatrix.from_cols(units + [[1, -1, 0], [1, 1, 0]]), 1)[0]
+        assert not checker.try_add((1, 1, 0))
+        checker.pop()
+        assert checker.adj == [0, 0, 0]
 
     def test_pop_restores_state(self):
         checker = IdentityAnchoredChecker(3, 3)

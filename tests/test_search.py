@@ -4,13 +4,15 @@ from itertools import combinations
 
 import pytest
 
-from deltamod.exact import is_parallel, primitive_part
-from deltamod.families import build_A, build_A_lee, expected_count, sporadic_rank3
-from deltamod.intmatrix import IntMatrix
+from deltamod.exact import _pivot_cols, det, is_parallel, primitive_part, rank
+from deltamod.families import (build_A, build_A_lee, expected_count, partitions,
+                               sporadic_rank3)
+from deltamod.intmatrix import IntMatrix, ShapeError
 from deltamod.modularity import is_delta_modular
 from deltamod.search import (SearchConfig, column_universe, hermite_bases,
                              max_columns_search, verify_is_feasible, _canonical,
-                             _Budget, _CLOCK_EVERY, _grid_candidates, _PairRows)
+                             _Budget, _CLOCK_EVERY, _GeneralChecker, _grid_candidates,
+                             _PairRows)
 
 
 class TestUniverse:
@@ -112,6 +114,64 @@ class TestSearchValues:
             max_columns_search(SearchConfig(3, 3, "greedy-seeded", seed_matrix=bad))
 
 
+def _greedy_from_scratch(seed: IntMatrix, delta: int) -> IntMatrix:
+    """Greedy extension that rechecks the whole matrix for every column."""
+    cols = [list(c) for c in seed.columns()]
+    for c in column_universe(delta, seed.rows, "greedy-seeded"):
+        if any(is_parallel(c, s) for s in cols):
+            continue
+        if is_delta_modular(IntMatrix.from_cols(cols + [list(c)]), delta)[0]:
+            cols.append(list(c))
+    return IntMatrix.from_cols(cols)
+
+
+class TestGreedy:
+    """Greedy extends in basis coordinates of the seed's pivot columns; it
+    must equal the from-scratch loop, also when the seed has no unit basis."""
+
+    @staticmethod
+    def _seeds():
+        rng = random.Random(9090)
+        for delta, r in [(2, 3), (3, 3), (2, 4)]:
+            family = [build_A(delta, p, r).matrix for p in partitions(delta - 1)
+                      if len(p.parts) < r] + [build_A_lee(delta, r).matrix]
+            if (delta, r) == (3, 3):
+                family.append(sporadic_rank3())
+            for m in family:
+                yield delta, m
+                cols = m.columns()
+                # random subsets in random order; all columns, and those after
+                # the unit basis, in reverse
+                picks = [rng.sample(range(len(cols)), rng.randint(r, len(cols) - 1))
+                         for _ in range(2)]
+                picks += [range(len(cols) - 1, -1, -1), range(len(cols) - 1, r - 1, -1)]
+                for pick in picks:
+                    sub = IntMatrix.from_cols([list(cols[k]) for k in pick])
+                    if rank(sub) == r:
+                        yield delta, sub
+
+    def test_matches_from_scratch_greedy(self):
+        seeds = list(self._seeds())
+        dets = [abs(det(m.submatrix(range(m.rows), _pivot_cols(m)))) for _, m in seeds]
+        assert sum(d > 1 for d in dets) >= 5
+        for delta, seed in seeds:
+            cert = max_columns_search(SearchConfig(delta, seed.rows, "greedy-seeded",
+                                                   seed_matrix=seed))
+            assert cert.best_matrix == _greedy_from_scratch(seed, delta)
+            assert not cert.optimal and cert.stats["checkers"] == {}
+
+    def test_rejected_seed_column_raises(self, monkeypatch):
+        monkeypatch.setattr(_GeneralChecker, "try_add", lambda self, col: False)
+        with pytest.raises(RuntimeError):
+            max_columns_search(SearchConfig(3, 3, "greedy-seeded",
+                                            seed_matrix=sporadic_rank3()))
+
+    def test_seed_rows_must_equal_rank(self):
+        with pytest.raises(ShapeError):
+            max_columns_search(SearchConfig(3, 4, "greedy-seeded",
+                                            seed_matrix=sporadic_rank3()))
+
+
 class TestCertificates:
     def test_certificate_is_reverifiable(self):
         cert = max_columns_search(SearchConfig(2, 3, "identity-anchored"))
@@ -181,6 +241,74 @@ class TestVerifyFeasible:
         assert not verify_is_feasible(m, 3)
 
 
+class TestBasisCoordinates:
+    """Over a basis B with d = |det B| > 1 the checker holds each k x k minor
+    of the basis coordinates to delta * d**(k-1); every decision of a
+    seeded add/pop walk must equal a full recheck of [B | accepted | c]."""
+
+    @staticmethod
+    def _column(rng, b: IntMatrix, delta: int):
+        """B y / det B for an integral choice of y: a grid vector, an edge
+        e_i - e_j, or (as c itself) a small random column."""
+        r, big = b.rows, det(b)
+        kind = rng.random()
+        if kind < 0.2:
+            return tuple(rng.randint(-2, 2) for _ in range(r))
+        if kind < 0.5:
+            i, j = rng.sample(range(r), 2)
+            y = [int(k == i) - int(k == j) for k in range(r)]
+        else:
+            y = [rng.randint(-delta, delta) for _ in range(r)]
+        v = [sum(b.entries[i][j] * y[j] for j in range(r)) for i in range(r)]
+        if any(x % big for x in v):
+            return None
+        return tuple(x // big for x in v)
+
+    def _walk(self, rng, b: IntMatrix, delta: int, steps: int) -> int:
+        checker = _GeneralChecker(b.columns(), delta)
+        basis = [list(c) for c in b.columns()]
+        accepted: list[list[int]] = []
+        edges = 0
+        for _ in range(steps):
+            if accepted and rng.random() < 0.25:
+                checker.pop()
+                accepted.pop()
+                continue
+            c = self._column(rng, b, delta)
+            if c is None or not any(c):
+                continue
+            want = is_delta_modular(
+                IntMatrix.from_cols(basis + accepted + [list(c)]), delta)[0]
+            bits = sum(a.bit_count() for a in checker.adj)
+            assert checker.try_add(c) == want, (b, accepted, c)
+            if want:
+                accepted.append(list(c))
+                edges += sum(a.bit_count() for a in checker.adj) > bits
+        return edges
+
+    def test_every_hermite_basis(self):
+        rng = random.Random(4242)
+        edges = 0
+        for delta, r in [(2, 3), (3, 3), (2, 4)]:
+            for h in hermite_bases(delta, r):
+                for _ in range(4):
+                    walk_edges = self._walk(rng, h, delta, 40)
+                    edges += walk_edges if det(h) > 1 else 0
+        assert edges >= 20
+
+    def test_random_bases(self):
+        rng = random.Random(2424)
+        walks = 0
+        while walks < 60:
+            r = rng.randint(2, 4)
+            b = IntMatrix.from_cols([[rng.randint(-2, 2) for _ in range(r)]
+                                     for _ in range(r)])
+            if not 0 < abs(det(b)) <= 6:
+                continue
+            self._walk(rng, b, abs(det(b)) + rng.randint(0, 2), 40)
+            walks += 1
+
+
 def _pair_feasible(h: IntMatrix, a, b, delta: int) -> bool:
     return is_delta_modular(IntMatrix.from_cols(
         [list(c) for c in h.columns()] + [list(a), list(b)]), delta)[0]
@@ -216,13 +344,22 @@ class TestPairFilter:
         pairs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(300)]
         self._check(IntMatrix.identity(r), delta, pairs)
 
+    def test_sampled_pairs_every_basis_delta3_rank3(self):
+        rng = random.Random(3303)
+        bases = hermite_bases(3, 3)
+        assert len(bases) == 15
+        for h in bases:
+            n = len(_grid_candidates(h, 3))
+            pairs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(200)]
+            self._check(h, 3, pairs)
+
     def test_exact_rows_for_entries_beyond_int64(self):
         # entries too large for the int64 guard take the Python-int path
         rng = random.Random(77)
         cands = [tuple(rng.randint(-2 ** 40, 2 ** 40) for _ in range(3))
                  for _ in range(12)]
         rows = self._check(IntMatrix.identity(3), 2 ** 80, cands=cands)
-        assert rows.forms.dtype == object
+        assert rows.ys.dtype == object
 
     def test_identity_candidates_match_identity_mode(self):
         r, delta = 3, 2
@@ -232,8 +369,9 @@ class TestPairFilter:
         assert mode_cands == _grid_candidates(IntMatrix.identity(r), delta)
 
 
-# Outputs of the benchmark's four search configurations; the pair filter
-# and the budget must leave every node, count and certificate unchanged.
+# Outputs of the benchmark's four search configurations and of small proved
+# searches; the pair filter, the budget and the checkers must leave every
+# node, count and certificate unchanged.
 PINNED_SEARCHES = [
     (SearchConfig(2, 3, "identity-anchored"), 9, True, 43087,
      [[1, 0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 1, -1, -1, -1, -2],
@@ -257,13 +395,20 @@ PINNED_SEARCHES = [
      [[1, 0, 1, 1, 1, 2], [0, 1, -1, 1, -2, -1]]),
     (SearchConfig(4, 2, "identity-anchored"), 6, True, 1513,
      [[1, 0, 1, 1, 1, 1], [0, 1, -1, 1, -2, 2]]),
+    (SearchConfig(3, 2, "hnf-exhaustive"), 6, True, 336,
+     [[1, 0, 1, 1, 1, 2], [0, 1, -1, 1, -2, -1]]),
+    (SearchConfig(4, 2, "hnf-exhaustive"), 6, True, 1708,
+     [[1, 0, 1, 1, 1, 1], [0, 1, -1, 1, -2, 2]]),
+    (SearchConfig(5, 2, "hnf-exhaustive"), 8, True, 19335,
+     [[1, 0, 1, 1, 1, 1, 2, 2], [0, 1, -1, 1, -2, 2, -1, 1]]),
 ]
 
 
 @pytest.mark.parametrize("config, count, optimal, nodes, entries", PINNED_SEARCHES,
                          ids=["2-3-identity", "2-3-hnf", "2-4-identity-20k",
                               "3-3-identity-30k", "1-3-identity", "2-2-identity",
-                              "3-2-identity", "4-2-identity"])
+                              "3-2-identity", "4-2-identity", "3-2-hnf", "4-2-hnf",
+                              "5-2-hnf"])
 def test_pinned_search_outputs(config, count, optimal, nodes, entries):
     cert = max_columns_search(config)
     assert (cert.best_count, cert.optimal, cert.nodes_explored) == (count, optimal, nodes)
