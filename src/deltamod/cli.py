@@ -172,12 +172,20 @@ def _cmd_verify_suite(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _env_threads() -> int | None:
+    """The --threads default from DELTAMOD_THREADS; unset or 0 means none."""
+    raw = os.environ.get("DELTAMOD_THREADS", "0")
+    try:
+        return int(raw) or None
+    except ValueError:
+        raise ValueError(f"DELTAMOD_THREADS must be an integer, not {raw!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="deltamod",
         description="Exact tools for bounded-subdeterminant integer matrices")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("DELTAMOD_THREADS", "0")) or None,
+    ap.add_argument("--threads", type=int, default=_env_threads(),
                     help="reserved; results never depend on it")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -257,15 +265,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
     try:
+        ap = _build_parser()
         args = ap.parse_args(argv)
         if args.threads is not None and args.threads < 1:
             ap.error("--threads must be at least 1")
+        return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -119,6 +119,20 @@ def _first_lex(hits: np.ndarray, n: int, k: int) -> int:
     return int(cands[0])
 
 
+def _row_pass(m: IntMatrix, basis: list[int]) -> tuple[np.ndarray, np.ndarray, int]:
+    """One kernel pass over the row subsets R of the pivot columns S0.
+
+    Returns the scan array of ``m``, |det A[R,S0]| in colex order of R, and
+    the colex index of R*, the lexicographically first R maximizing it.
+    """
+    r = len(basis)
+    dtype = _batch.scan_dtype(r, m.max_abs_entry())
+    _batch.check_scan_size(m.rows, r, dtype)
+    a = np.array(m.entries, dtype=dtype)
+    row_dets = np.abs(_batch.subset_minors(a[:, basis].T))
+    return a, row_dets, _first_lex(row_dets == row_dets.max(), m.rows, r)
+
+
 def _scan_subdets(m: IntMatrix, bound: int | None) -> tuple[int, SubmatrixWitness]:
     """Max |det| over rank x rank submatrices and its first witness.
 
@@ -133,13 +147,9 @@ def _scan_subdets(m: IntMatrix, bound: int | None) -> tuple[int, SubmatrixWitnes
     r = len(basis)
     if r == 0:
         raise DegenerateRankError("zero matrix has no full-rank submatrix")
-    dtype = _batch.scan_dtype(r, m.max_abs_entry())
-    _batch.check_scan_size(m.rows, r, dtype)
-    _batch.check_scan_size(m.cols, r, dtype)
-    a = np.array(m.entries, dtype=dtype)
-    row_dets = np.abs(_batch.subset_minors(a[:, basis].T))
-    row_max = int(row_dets.max())
-    top = _first_lex(row_dets == row_max, m.rows, r)
+    _batch.check_scan_size(m.cols, r, _batch.scan_dtype(r, m.max_abs_entry()))
+    a, row_dets, top = _row_pass(m, basis)
+    row_max = int(row_dets[top])
     col_dets = np.abs(_batch.subset_minors(a[list(_batch.colex_unrank(r, top))]))
     if bound is not None and (col_dets > bound).any():
         c = _first_lex(col_dets > bound, m.cols, r)

@@ -1,7 +1,7 @@
 """Exact bounded-subdeterminant checking.
 
 ``is_delta_modular`` decides whether every rank-sized subdeterminant stays
-within a bound, and ``modularity_level`` measures the exact maximum. Three
+within a bound, and ``modularity_level`` measures the exact maximum. Two
 strategies are dispatched on matrix structure:
 
 * identity-anchored: the matrix contains a (signed) unit column for every
@@ -18,14 +18,21 @@ strategies are dispatched on matrix structure:
   in ``_batch``, in int64 when its growth guard allows and over exact
   Python ints otherwise.
 
-* zero-sum: when every column sums to zero and the rank is one below the
-  row count, deleting the last row (the inverse of appending the negated
-  column-sum row) preserves the level and usually exposes an identity
-  anchor.
-
 * general: brute force over rank-sized subsets factored through a column
   basis: one kernel pass over row subsets, one over column subsets, first
   hit in lexicographic order, columns outer (``exact._scan_subdets``).
+
+A matrix is dispatched through a row basis. For pivot columns S0 and R*,
+the lexicographically first row set maximizing |det A[R,S0]|, every
+rank-sized minor is det A[R,S] = det A[R,S0] / det A[R*,S0] * det A[R*,S],
+a factor of absolute value at most 1 times a minor of A[R*,:], so the
+rows R* carry every maximum and every bound violation. A matrix of full
+row rank is its own A[R*,:]. When A[R*,:] has a unit basis, the
+identity-anchored scan runs on it and its witness rows are R*; otherwise
+the general scan runs on the whole matrix. A zero-sum matrix of rank one
+below its row count takes R* = every row but the last, because each row
+set of that size ties (its row transform [I; -1^T] is totally
+unimodular), so the clique extensions of the paper are anchored.
 
 A scan too large for memory is refused with ``ValueError`` before it
 starts. The identity-anchored path is cross-validated against the
@@ -41,7 +48,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _batch
-from .exact import _scan_subdets, det, is_parallel, rank
+from .exact import _pivot_cols, _row_pass, _scan_subdets, det, is_parallel
 from .intmatrix import DegenerateRankError, IntMatrix, SubmatrixWitness
 
 _MAX_FAST_ROWS = 12
@@ -169,19 +176,6 @@ def _disjoint_families(conn: tuple[int, ...], t: int) -> tuple[tuple[int, ...], 
     return tuple(out)
 
 
-def _part_sums(extras_cols: list[tuple[int, ...]], r: int) -> list[list[int]]:
-    """sums[mask][k] = sum of extras_cols[k] over the rows in mask."""
-    size = 1 << r
-    nx = len(extras_cols)
-    sums = [[0] * nx for _ in range(size)]
-    for mask in range(1, size):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        prev = sums[mask ^ low]
-        sums[mask] = [prev[k] + extras_cols[k][i] for k in range(nx)]
-    return sums
-
-
 @lru_cache(maxsize=4096)
 def _mask_sums(col: tuple[int, ...], r: int) -> tuple[int, ...]:
     """sums[mask] = sum of col over the rows in mask; cached for the search."""
@@ -252,7 +246,7 @@ class _SubsetScan:
         self.nx = nx
         self.bound = bound
         self.best = 1
-        self.best_at: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self.best_at: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
         self.path: list[int] = []
 
     def run(self, max_depth: int) -> None:
@@ -296,31 +290,24 @@ class _SubsetScan:
 def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
                    ) -> tuple[int, SubmatrixWitness]:
     r = m.rows
-    rows_idx = tuple(range(r))
-    id_cols = tuple(sorted(split.unit_for_row))
-    best_wit = SubmatrixWitness(rows_idx, id_cols, det(m.submatrix(rows_idx, id_cols)))
-    if not split.extras:
-        return 1, best_wit
-
-    extras_cols = [m.column(j) for j in split.extras]
-    nx = len(extras_cols)
-    conn = _connected_masks(r, split.adj)
-    max_depth = min(r, nx)
-    col_bound = max(sum(abs(v) for v in col) for col in extras_cols)
-    dtype = _batch.scan_dtype(max_depth, col_bound)
-    _batch.check_scan_size(nx, max_depth, dtype)
-    sums = np.array(_part_sums(extras_cols, r), dtype=dtype)
-
-    scan = _SubsetScan(sums, conn, nx, bound)
-    try:
-        scan.run(max_depth)
-        value, hit = scan.best, scan.best_at
-    except _ScanHit as h:
-        value, hit = h.value, (h.family, h.combo)
-    if hit is None:
-        return 1, best_wit
-    fam, cmb = hit
-    rows_w, cols_w = _witness_cols(fam, cmb, split, r)
+    value, hit = 1, ((), ())  # the empty family: the unit basis itself
+    if split.extras:
+        extras_cols = [m.column(j) for j in split.extras]
+        nx = len(extras_cols)
+        max_depth = min(r, nx)
+        col_bound = max(sum(abs(v) for v in col) for col in extras_cols)
+        dtype = _batch.scan_dtype(max_depth, col_bound)
+        _batch.check_scan_size(nx, max_depth, dtype)
+        # uncached: at 12 rows the cache would hold 4096 sums per column
+        sums = np.ascontiguousarray(np.array(
+            [_mask_sums.__wrapped__(col, r) for col in extras_cols], dtype=dtype).T)
+        scan = _SubsetScan(sums, _connected_masks(r, split.adj), nx, bound)
+        try:
+            scan.run(max_depth)
+            value, hit = scan.best, scan.best_at
+        except _ScanHit as h:
+            value, hit = h.value, (h.family, h.combo)
+    rows_w, cols_w = _witness_cols(*hit, split, r)
     wit = SubmatrixWitness(rows_w, cols_w, det(m.submatrix(rows_w, cols_w)))
     if abs(wit.det_value) != value:
         raise RuntimeError(f"witness determinant {wit.det_value} disagrees "
@@ -335,23 +322,31 @@ def _scan_general(m: IntMatrix, bound: int | None) -> tuple[int, SubmatrixWitnes
     return _scan_subdets(m, bound)
 
 
+def _anchor(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, _Split] | None:
+    """R*, A[R*,:] and its unit basis, when the identity-anchored scan applies.
+
+    R* is every row when ``m`` has full row rank, else the first row set
+    maximizing |det A[R,S0]| on the pivot columns S0 (``exact._row_pass``).
+    """
+    basis = _pivot_cols(m)
+    if not basis:
+        raise DegenerateRankError("zero matrix")
+    r = len(basis)
+    if r > _MAX_FAST_ROWS:
+        return None
+    top = tuple(range(r)) if r == m.rows else _batch.colex_unrank(r, _row_pass(m, basis)[2])
+    work = m if r == m.rows else m.submatrix(top, range(m.cols))
+    split = _split_identity_anchored(work)
+    return None if split is None else (top, work, split)
+
+
 def _minor_scan(m: IntMatrix, bound: int | None) -> tuple[int, SubmatrixWitness]:
-    work = m
-    while True:
-        if work.rows <= _MAX_FAST_ROWS:
-            split = _split_identity_anchored(work)
-            if split is not None:
-                return _scan_identity(work, split, bound)
-        # Deleting the last row of a zero-sum matrix is exact only when the
-        # remainder has full row rank: each minor through the deleted row
-        # then equals one minor of the remainder up to sign (add the other
-        # chosen rows to it); with more row slack it is a sum of several.
-        if work.rows >= 2 and all(
-                sum(work.entries[i][j] for i in range(work.rows)) == 0
-                for j in range(work.cols)) and rank(work) == work.rows - 1:
-            work = drop_last_row(work)
-            continue
-        return _scan_general(work, bound)
+    anchor = _anchor(m)
+    if anchor is None:
+        return _scan_general(m, bound)
+    top, work, split = anchor
+    value, wit = _scan_identity(work, split, bound)  # its witness takes every row
+    return value, SubmatrixWitness(top, wit.col_indices, wit.det_value)
 
 
 def is_delta_modular(m: IntMatrix, delta: int
@@ -362,8 +357,6 @@ def is_delta_modular(m: IntMatrix, delta: int
     """
     if delta < 1:
         raise ValueError("delta must be a positive integer")
-    if rank(m) == 0:
-        raise DegenerateRankError("zero matrix")
     value, witness = _minor_scan(m, delta)
     if value > delta:
         return False, witness
@@ -382,8 +375,6 @@ def parallel_violations(m: IntMatrix) -> tuple[tuple[int, int], ...]:
 
 def modularity_level(m: IntMatrix, query: int | None = None) -> ModularityReport:
     """Exact modularity level with witness and a pairwise-parallelism audit."""
-    if rank(m) == 0:
-        raise DegenerateRankError("zero matrix")
     value, witness = _minor_scan(m, None)
     viol = parallel_violations(m)
     return ModularityReport(

@@ -85,7 +85,8 @@ class SearchConfig:
             raise ValueError("delta and rank must be positive")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.node_limit < 1 or self.time_limit_seconds <= 0:
+        # not (t > 0) also rejects a NaN time limit, which never expires
+        if self.node_limit < 1 or not self.time_limit_seconds > 0:
             raise ValueError("limits must be positive")
 
 

@@ -65,6 +65,21 @@ def naive_first_max_rank_subdet(m: IntMatrix, bound: int | None = None):
     return best
 
 
+def naive_row_basis(m: IntMatrix) -> tuple[int, ...]:
+    """The first row set R maximizing |det A[R,S0]|, in lexicographic order.
+
+    S0 is the lexicographically first column basis, found greedily.
+    """
+    s0: list[int] = []
+    for j in range(m.cols):
+        if rank(IntMatrix.from_cols([m.column(k) for k in s0 + [j]])) > len(s0):
+            s0.append(j)
+    dets = [(abs(det_cofactor(m.submatrix(rows, s0))), rows)
+            for rows in combinations(range(m.rows), len(s0))]
+    best = max(d for d, _ in dets)
+    return next(rows for d, rows in dets if d == best)
+
+
 def naive_long_lines(m: IntMatrix, e: int) -> list[tuple[tuple[int, ...], int]]:
     """(columns, points) of each long line through column e, sorted.
 

@@ -195,6 +195,18 @@ class TestUsageErrors:
     def test_bad_threads(self, capsys):
         assert run(["--threads", "0", "partitions", "3"]) == 2
 
+    def test_bad_threads_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("DELTAMOD_THREADS", "abc")
+        code, out, err = run_cli(capsys, "partitions", "3")
+        assert code == 2 and out == ""
+        assert err == "error: DELTAMOD_THREADS must be an integer, not 'abc'\n"
+
+    def test_nan_time_limit(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--delta", "1", "--rank", "2",
+                                 "--time-limit", "nan")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
     def test_nu_requires_arguments(self, capsys):
         assert run(["nu", "--partition", "2"]) == 2
 

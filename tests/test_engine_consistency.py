@@ -1,8 +1,8 @@
 """Cross-checks between the modularity engine's strategies.
 
-The identity-anchored DFS, the zero-sum row reduction and the brute-force
-enumeration must agree exactly on shared inputs, including witness
-bookkeeping and the big-int fallback of the minor kernel.
+The identity-anchored DFS on a row basis and the brute-force enumeration
+must agree exactly on shared inputs, including witness bookkeeping and the
+big-int fallback of the minor kernel.
 """
 
 import random
@@ -14,11 +14,13 @@ import pytest
 from deltamod._batch import batched_det, colex_tables, colex_unrank, fits_int64
 from deltamod.cli import run
 from deltamod.exact import det, det_cofactor, max_abs_full_rank_subdet, rank
+from deltamod.extensions import clique_matrix
 from deltamod.intmatrix import IntMatrix
-from deltamod.modularity import (_connected_masks, _split_identity_anchored,
-                                 append_zero_sum_row, is_delta_modular,
+from deltamod.modularity import (_anchor, _connected_masks, _split_identity_anchored,
+                                 append_zero_sum_row, drop_last_row, is_delta_modular,
                                  modularity_level)
-from tests._oracles import naive_first_max_rank_subdet, naive_max_rank_subdet
+from tests._oracles import (naive_first_max_rank_subdet, naive_max_rank_subdet,
+                            naive_row_basis)
 
 
 def adversarial_matrix(rng):
@@ -80,8 +82,9 @@ class TestStrategiesAgree:
             assert modularity_level(z).delta == naive_max_rank_subdet(z)
 
     def test_zero_sum_with_row_slack_not_reduced(self):
-        # zero-sum but rank two below the row count: deleting a row here
-        # would change the maximum (regression for the reduction guard)
+        # zero-sum but rank two below the row count: dropping the last row
+        # would change the maximum, since a minor through it is a sum of
+        # several minors of the rest; the row basis R* must find 96
         m = IntMatrix.from_rows([
             (1, 0, 1), (0, -3, 4), (3, -4, -3),
             (0, -1, 4), (-1, 3, 3), (-3, 5, -9)])
@@ -112,8 +115,7 @@ class TestDecisionWitnessOrder:
     @staticmethod
     def _matches_naive_first_hit(m):
         """False if m does not take the general strategy, else checks it."""
-        if (rank(m) == 0 or _split_identity_anchored(m) is not None
-                or all(sum(m.column(j)) == 0 for j in range(m.cols))):
+        if rank(m) == 0 or _anchor(m) is not None:
             return False
         value, witness = max_abs_full_rank_subdet(m)
         assert (value, witness.col_indices, witness.row_indices) == \
@@ -167,6 +169,58 @@ class TestDecisionWitnessOrder:
             level = modularity_level(m).delta
             for d in (1, 2, 3, 4, 5):
                 assert is_delta_modular(m, d)[0] == (level <= d)
+
+
+class TestRowBasisDispatch:
+    @staticmethod
+    def _tall_matrix(rng):
+        """Units, edges and general columns over r rows, then one or two
+        rows dependent on them, rows shuffled."""
+        r = rng.randint(2, 4)
+        cols = [[int(i == k) for i in range(r)] for k in range(r)]
+        for _ in range(rng.randint(0, 2)):
+            i, j = rng.sample(range(r), 2)
+            v = [0] * r
+            v[i], v[j] = 1, -1
+            cols.append(v)
+        cols += [[rng.randint(-3, 3) for _ in range(r)]
+                 for _ in range(rng.randint(1, 3))]
+        rng.shuffle(cols)
+        rows = [list(t) for t in IntMatrix.from_cols(cols).entries]
+        for _ in range(rng.randint(1, 2)):
+            coef = [rng.randint(-1, 1) for _ in range(r)]
+            rows.append([sum(c * row[j] for c, row in zip(coef, rows[:r]))
+                         for j in range(len(cols))])
+        rng.shuffle(rows)
+        return IntMatrix.from_rows(rows)
+
+    def test_anchored_row_basis_gives_the_witness_rows(self):
+        # tall, not zero-sum, and A[R*,:] holds a unit column for each row:
+        # the identity-anchored scan runs on R*, for the level and for
+        # every bound below it
+        rng = random.Random(4242)
+        checked = 0
+        while checked < 40:
+            m = self._tall_matrix(rng)
+            top = naive_row_basis(m)
+            units = {tuple(int(i == k) for i in range(len(top))) for k in range(len(top))}
+            cols = {tuple(abs(v) for v in col)
+                    for col in m.submatrix(top, range(m.cols)).columns()}
+            if (all(sum(m.column(j)) == 0 for j in range(m.cols))
+                    or not units <= cols):
+                continue
+            assert _anchor(m)[0] == top
+            value = naive_max_rank_subdet(m)
+            report = modularity_level(m)
+            assert report.delta == value
+            assert report.witness.check(m) and report.witness.row_indices == top
+            for bound in range(1, value + 1):
+                ok, hit = is_delta_modular(m, bound)
+                assert ok == (value <= bound)
+                if not ok:
+                    assert hit.check(m) and abs(hit.det_value) > bound
+                    assert hit.row_indices == top
+            checked += 1
 
 
 class TestSubsetMachinery:
@@ -241,6 +295,30 @@ class TestScanLimit:
         path.write_text(m.to_text())
         assert run(["delta", str(path)]) == 0
         assert capsys.readouterr().out.strip() == str(value)
+
+    def test_tall_scan_through_an_anchored_row_basis(self, tmp_path, capsys):
+        # an 8-row clique block plus two columns, then a zero-sum row and a
+        # copy of row 0: rank 8 over 10 rows, not zero-sum. The general
+        # column pass over C(38, 8) sets is refused; rows 0-7 are R* and
+        # carry a unit basis, so the identity-anchored scan runs on them
+        block = drop_last_row(clique_matrix(9)).hstack(IntMatrix.from_cols(
+            [[2, 1, -1, 0, 1, 0, -1, 1], [0, 1, 1, -1, 2, 1, 0, -2]]))
+        z = append_zero_sum_row(block)
+        m = IntMatrix(z.entries + (z.entries[0],))
+        assert rank(m) == 8
+        assert not all(sum(m.column(j)) == 0 for j in range(m.cols))
+        with pytest.raises(ValueError, match="refusing a minor scan"):
+            max_abs_full_rank_subdet(m)
+        report = modularity_level(m)
+        assert report.delta == modularity_level(block).delta
+        assert report.witness.row_indices == tuple(range(8))
+        assert report.witness.check(m)
+        ok, hit = is_delta_modular(m, report.delta - 1)
+        assert not ok and hit.check(m) and hit.row_indices == tuple(range(8))
+        path = tmp_path / "tall.mat"
+        path.write_text(m.to_text())
+        assert run(["delta", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == str(report.delta)
 
     def test_identity_anchored_scan_refused(self):
         rng = random.Random(1240)

@@ -204,6 +204,11 @@ class TestCertificates:
         assert not cert.optimal
         assert verify_is_feasible(cert.best_matrix, 2)
 
+    @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+    def test_time_limit_must_be_positive(self, limit):
+        with pytest.raises(ValueError, match="limits must be positive"):
+            SearchConfig(2, 3, "identity-anchored", time_limit_seconds=limit)
+
     def test_budget_counts_nodes_exactly_and_reads_clock_in_blocks(self):
         by_nodes = _Budget(node_limit=5, time_limit=600.0)
         assert [by_nodes.tick() for _ in range(6)] == [True] * 5 + [False]
