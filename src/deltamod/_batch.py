@@ -7,8 +7,10 @@ row on top of those rows:
 
     state'[S] = sum over p of (-1)**p * row[S_p] * state[S minus S_p]
 
-so all minors of a level are shared by every subset of the next. The scans
-run one row stack at a time; leading batch axes serve only ``batched_det``.
+so all minors of a level are shared by every subset of the next. Leading
+batch axes run several row stacks at once: ``batched_det`` and the pair
+filter of ``search._PairRows``, which takes the 2 x 2 minors of a batch of
+candidate pairs. The subdeterminant scans run one row stack at a time.
 
 Arrays are int64 when ``fits_int64`` certifies that no minor can overflow,
 and ``dtype=object`` (exact Python ints) otherwise; the step is the same

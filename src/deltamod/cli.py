@@ -29,8 +29,10 @@ _MODE_ALIASES = {"identity": "identity-anchored", "hnf": "hnf-exhaustive",
 
 
 def _read_matrix(path: str) -> IntMatrix:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return IntMatrix.from_text(text)
+    if path == "-":
+        return IntMatrix.from_text(sys.stdin.read())
+    with open(path) as f:
+        return IntMatrix.from_text(f.read())
 
 
 def _emit(data: dict, as_json: bool, human: str) -> None:

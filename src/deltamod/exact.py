@@ -119,47 +119,47 @@ def _first_lex(hits: np.ndarray, n: int, k: int) -> int:
     return int(cands[0])
 
 
-def _row_pass(m: IntMatrix, basis: list[int]) -> tuple[np.ndarray, np.ndarray, int]:
+def _row_pass(m: IntMatrix) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """One kernel pass over the row subsets R of the pivot columns S0.
 
     Returns the scan array of ``m``, |det A[R,S0]| in colex order of R, and
-    the colex index of R*, the lexicographically first R maximizing it.
-    """
-    r = len(basis)
-    dtype = _batch.scan_dtype(r, m.max_abs_entry())
-    _batch.check_scan_size(m.rows, r, dtype)
-    a = np.array(m.entries, dtype=dtype)
-    row_dets = np.abs(_batch.subset_minors(a[:, basis].T))
-    return a, row_dets, _first_lex(row_dets == row_dets.max(), m.rows, r)
-
-
-def _scan_subdets(m: IntMatrix, bound: int | None) -> tuple[int, SubmatrixWitness]:
-    """Max |det| over rank x rank submatrices and its first witness.
-
-    Lexicographic, column subsets outer; with ``bound``, the first |det|
-    above it instead, if any. For pivot columns S0, every minor is
-    det A[R,S] = det A[R,S0] * det A[R*,S] / det A[R*,S0], where R* is the
-    first row set maximizing |det A[R*,S0]|. So one kernel pass over the row
-    subsets of A[:,S0] and one over the column subsets of A[R*,:] rank both,
-    and S has a row set above ``bound`` iff |det A[R*,S]| is above it.
+    R*, the lexicographically first R maximizing it; len(R*) is the rank.
     """
     basis = _pivot_cols(m)
     r = len(basis)
     if r == 0:
         raise DegenerateRankError("zero matrix has no full-rank submatrix")
-    _batch.check_scan_size(m.cols, r, _batch.scan_dtype(r, m.max_abs_entry()))
-    a, row_dets, top = _row_pass(m, basis)
-    row_max = int(row_dets[top])
-    col_dets = np.abs(_batch.subset_minors(a[list(_batch.colex_unrank(r, top))]))
+    a = np.array(m.entries, dtype=_batch.scan_dtype(r, m.max_abs_entry()))
+    _batch.check_scan_size(m.rows, r, a.dtype)
+    row_dets = np.abs(_batch.subset_minors(a[:, basis].T))
+    top = _first_lex(row_dets == row_dets.max(), m.rows, r)
+    return a, row_dets, _batch.colex_unrank(r, top)
+
+
+def _scan_subdets(m: IntMatrix, rows: tuple, bound: int | None) -> tuple[int, SubmatrixWitness]:
+    """Max |det| over rank x rank submatrices and its first witness.
+
+    Lexicographic, column subsets outer; with ``bound``, the first |det|
+    above it instead, if any. For pivot columns S0, every minor is
+    det A[R,S] = det A[R,S0] * det A[R*,S] / det A[R*,S0], where R* is the
+    first row set maximizing |det A[R*,S0]|. So the row pass ``rows`` and
+    one kernel pass over the column subsets of A[R*,:] rank both, and S
+    has a row set above ``bound`` iff |det A[R*,S]| is above it.
+    """
+    a, row_dets, rset = rows
+    r = len(rset)
+    _batch.check_scan_size(m.cols, r, a.dtype)
+    col_dets = np.abs(_batch.subset_minors(a[list(rset)]))
     if bound is not None and (col_dets > bound).any():
         c = _first_lex(col_dets > bound, m.cols, r)
-        b = int(col_dets[c])  # Python ints: two int64 minors can overflow
+        b, row_max = int(col_dets[c]), int(row_dets.max())  # their product may overflow int64
         top = _first_lex(row_dets.astype(object) * b > bound * row_max, m.rows, r)
         value = int(row_dets[top]) * b // row_max
+        rset = _batch.colex_unrank(r, top)
     else:
         value = int(col_dets.max())
         c = _first_lex(col_dets == value, m.cols, r)
-    rset, cset = _batch.colex_unrank(r, top), _batch.colex_unrank(r, c)
+    cset = _batch.colex_unrank(r, c)
     d = det(m.submatrix(rset, cset))
     if abs(d) != value:
         raise RuntimeError(f"witness determinant {d} disagrees with the scanned value {value}")
@@ -172,7 +172,7 @@ def max_abs_full_rank_subdet(m: IntMatrix) -> tuple[int, SubmatrixWitness]:
     The witness is the first maximizer in lexicographic order with column
     subsets in the outer loop, which pins the result for golden tests.
     """
-    return _scan_subdets(m, None)
+    return _scan_subdets(m, _row_pass(m), None)
 
 
 def is_parallel(u: Sequence[int], v: Sequence[int]) -> bool:

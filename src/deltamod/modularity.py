@@ -26,13 +26,21 @@ A matrix is dispatched through a row basis. For pivot columns S0 and R*,
 the lexicographically first row set maximizing |det A[R,S0]|, every
 rank-sized minor is det A[R,S] = det A[R,S0] / det A[R*,S0] * det A[R*,S],
 a factor of absolute value at most 1 times a minor of A[R*,:], so the
-rows R* carry every maximum and every bound violation. A matrix of full
-row rank is its own A[R*,:]. When A[R*,:] has a unit basis, the
-identity-anchored scan runs on it and its witness rows are R*; otherwise
-the general scan runs on the whole matrix. A zero-sum matrix of rank one
-below its row count takes R* = every row but the last, because each row
-set of that size ties (its row transform [I; -1^T] is totally
-unimodular), so the clique extensions of the paper are anchored.
+rows R* carry every maximum and every bound violation. ``_minor_scan``
+alone chooses the scan, with at most one echelon and one row pass:
+
+1. No echelon when the matrix holds a unit basis: it has full row rank,
+   so it is its own A[R*,:], and the identity-anchored scan runs on it.
+2. Otherwise one row pass (``exact._row_pass``) finds R*. When the matrix
+   is tall and A[R*,:] has a unit basis, the identity-anchored scan runs
+   on A[R*,:] and its witness rows are R*.
+3. Otherwise the general scan runs on the whole matrix with that row pass.
+
+The identity-anchored scan takes at most ``_MAX_FAST_ROWS`` rows. A
+zero-sum matrix of rank one below its row count takes R* = every row but
+the last, because each row set of that size ties (its row transform
+[I; -1^T] is totally unimodular), so the clique extensions of the paper
+are anchored.
 
 A scan too large for memory is refused with ``ValueError`` before it
 starts. The identity-anchored path is cross-validated against the
@@ -48,7 +56,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _batch
-from .exact import _pivot_cols, _row_pass, _scan_subdets, det, is_parallel
+from .exact import _row_pass, _scan_subdets, det, is_parallel
 from .intmatrix import DegenerateRankError, IntMatrix, SubmatrixWitness
 
 _MAX_FAST_ROWS = 12
@@ -318,35 +326,25 @@ def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
 # -- dispatch ----------------------------------------------------------------
 
 
-def _scan_general(m: IntMatrix, bound: int | None) -> tuple[int, SubmatrixWitness]:
-    return _scan_subdets(m, bound)
-
-
-def _anchor(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, _Split] | None:
-    """R*, A[R*,:] and its unit basis, when the identity-anchored scan applies.
-
-    R* is every row when ``m`` has full row rank, else the first row set
-    maximizing |det A[R,S0]| on the pivot columns S0 (``exact._row_pass``).
-    """
-    basis = _pivot_cols(m)
-    if not basis:
-        raise DegenerateRankError("zero matrix")
-    r = len(basis)
-    if r > _MAX_FAST_ROWS:
-        return None
-    top = tuple(range(r)) if r == m.rows else _batch.colex_unrank(r, _row_pass(m, basis)[2])
-    work = m if r == m.rows else m.submatrix(top, range(m.cols))
-    split = _split_identity_anchored(work)
-    return None if split is None else (top, work, split)
+def _scan_general(m: IntMatrix, rows: tuple, bound: int | None
+                  ) -> tuple[int, SubmatrixWitness]:
+    return _scan_subdets(m, rows, bound)
 
 
 def _minor_scan(m: IntMatrix, bound: int | None) -> tuple[int, SubmatrixWitness]:
-    anchor = _anchor(m)
-    if anchor is None:
-        return _scan_general(m, bound)
-    top, work, split = anchor
-    value, wit = _scan_identity(work, split, bound)  # its witness takes every row
-    return value, SubmatrixWitness(top, wit.col_indices, wit.det_value)
+    """The one choice of strategy: see the module docstring for the order."""
+    split = _split_identity_anchored(m) if m.rows <= _MAX_FAST_ROWS else None
+    if split is not None:
+        return _scan_identity(m, split, bound)  # full row rank: m is its own R*
+    rows = _row_pass(m)
+    top = rows[2]
+    if len(top) < m.rows and len(top) <= _MAX_FAST_ROWS:
+        work = m.submatrix(top, range(m.cols))
+        split = _split_identity_anchored(work)
+        if split is not None:
+            value, wit = _scan_identity(work, split, bound)  # its witness takes every row
+            return value, SubmatrixWitness(top, wit.col_indices, wit.det_value)
+    return _scan_general(m, rows, bound)
 
 
 def is_delta_modular(m: IntMatrix, delta: int

@@ -31,9 +31,10 @@ from .extensions import (canonical_column, canonical_pair_rows,
                          enumerate_pair_extensions, enumerate_single_extensions,
                          refute_triple_extensions)
 from .families import (_partitions_desc, build_A, build_A_lee, expected_count,
-                       partitions, sporadic_rank3)
+                       partition_count, partitions, sporadic_rank3)
 from .intmatrix import IntMatrix
-from .lines import line_length_multiset, nu_formula, recover_partition
+from .lines import (distinguishing_report, line_length_multiset, nu_formula,
+                    recover_partition)
 from .modularity import (append_zero_sum_row, drop_last_row, is_delta_modular,
                          modularity_level)
 from .search import SearchConfig, max_columns_search
@@ -195,8 +196,6 @@ def _recovery_sweep(max_delta: int) -> str:
 
 
 def _distinguish_sweep(pairs) -> str:
-    from .lines import distinguishing_report
-    from .families import partition_count
     details = []
     for delta, r in pairs:
         certs = distinguishing_report(delta, r)

@@ -11,16 +11,26 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from deltamod import exact, modularity
 from deltamod._batch import batched_det, colex_tables, colex_unrank, fits_int64
 from deltamod.cli import run
 from deltamod.exact import det, det_cofactor, max_abs_full_rank_subdet, rank
 from deltamod.extensions import clique_matrix
 from deltamod.intmatrix import IntMatrix
-from deltamod.modularity import (_anchor, _connected_masks, _split_identity_anchored,
+from deltamod.modularity import (_MAX_FAST_ROWS, _connected_masks, _split_identity_anchored,
                                  append_zero_sum_row, drop_last_row, is_delta_modular,
                                  modularity_level)
 from tests._oracles import (naive_first_max_rank_subdet, naive_max_rank_subdet,
                             naive_row_basis)
+
+
+def anchored_row_basis(m):
+    """True when A[R*,:], with R* from the cofactor oracle, has at most
+    ``_MAX_FAST_ROWS`` rows and a unit column for each of them: the
+    matrices that the identity-anchored scan takes."""
+    top = naive_row_basis(m)
+    return (len(top) <= _MAX_FAST_ROWS
+            and _split_identity_anchored(m.submatrix(top, range(m.cols))) is not None)
 
 
 def adversarial_matrix(rng):
@@ -115,7 +125,7 @@ class TestDecisionWitnessOrder:
     @staticmethod
     def _matches_naive_first_hit(m):
         """False if m does not take the general strategy, else checks it."""
-        if rank(m) == 0 or _anchor(m) is not None:
+        if rank(m) == 0 or anchored_row_basis(m):
             return False
         value, witness = max_abs_full_rank_subdet(m)
         assert (value, witness.col_indices, witness.row_indices) == \
@@ -199,7 +209,7 @@ class TestRowBasisDispatch:
         # the identity-anchored scan runs on R*, for the level and for
         # every bound below it
         rng = random.Random(4242)
-        checked = 0
+        checked = general = 0
         while checked < 40:
             m = self._tall_matrix(rng)
             top = naive_row_basis(m)
@@ -208,8 +218,10 @@ class TestRowBasisDispatch:
                     for col in m.submatrix(top, range(m.cols)).columns()}
             if (all(sum(m.column(j)) == 0 for j in range(m.cols))
                     or not units <= cols):
+                # the general scan's witnesses, against the naive first hit
+                general += TestDecisionWitnessOrder._matches_naive_first_hit(m)
                 continue
-            assert _anchor(m)[0] == top
+            assert anchored_row_basis(m)
             value = naive_max_rank_subdet(m)
             report = modularity_level(m)
             assert report.delta == value
@@ -221,6 +233,34 @@ class TestRowBasisDispatch:
                     assert hit.check(m) and abs(hit.det_value) > bound
                     assert hit.row_indices == top
             checked += 1
+        assert general > 0
+
+    def test_one_echelon_and_one_row_pass(self, monkeypatch):
+        # the dispatch hands its pivot columns and row pass to the general
+        # scan; a matrix with a unit column for each row is its own R* and
+        # needs neither
+        tall = IntMatrix.from_rows([[2, 1, 0, 3, -1], [1, -2, 2, 0, 3],
+                                    [0, 3, -1, 2, 2], [3, -1, 2, 3, 2],
+                                    [1, 1, 1, 1, 1]])
+        anchored = IntMatrix.from_cols([[1, 0, 0], [0, -1, 0], [0, 0, 1], [2, 1, -1]])
+        assert rank(tall) == 4 and not anchored_row_basis(tall)
+        calls = {"_pivot_cols": 0, "_row_pass": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for mod in (exact, modularity):
+            for name in calls:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        for m, echelons, row_passes in ((tall, 1, 1), (anchored, 0, 0)):
+            for scan in (modularity_level, lambda m: is_delta_modular(m, 1)):
+                calls.update(_pivot_cols=0, _row_pass=0)
+                scan(m)
+                assert (calls["_pivot_cols"], calls["_row_pass"]) == (echelons, row_passes)
 
 
 class TestSubsetMachinery:
