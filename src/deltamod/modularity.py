@@ -102,6 +102,7 @@ class _Split:
     extras: tuple[int, ...]                # column indices of general columns
 
 
+@lru_cache(maxsize=4096)
 def _classify(col: tuple[int, ...]) -> tuple[str, object]:
     """("unit", i) for +-e_i, ("edge", (i, j)) for +-(e_i - e_j) with i < j,
     and ("extra", None) for any other nonzero column."""

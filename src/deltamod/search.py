@@ -47,10 +47,12 @@ The depth-first search carries the AND of the rows of the chosen
 candidates and skips a candidate whose bit is clear without asking the
 exact checker: a superset of an infeasible set is infeasible, so that call
 could only have said no. Rows are built the first time their candidate is
-accepted. A node is still one candidate examined: the node budget is
-charged before the filter, and the count bound is unchanged, so every
-search visits the same nodes in the same order, with the same count and
-certificate, as without the filter.
+accepted. The search steps from one set bit of the AND to the next. A
+node is still one candidate examined: the skipped candidates between two
+set bits, up to the first index where the count bound fails, are charged
+to the node budget in one block, which stops on the same node as charging
+them one by one. So every search visits the same nodes in the same order,
+with the same count, limits and certificate, as without the filter.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from math import comb, gcd, prod
 
 import numpy as np
 
-from ._batch import scan_dtype, subset_minors
+from ._batch import MAX_SCAN_BYTES, scan_dtype, subset_minors
 from .exact import _bareiss_det, _canonical, _pivot_cols, is_parallel, rank
 from .intmatrix import IntMatrix, ShapeError
 from .modularity import IdentityAnchoredChecker, is_delta_modular, parallel_violations
@@ -88,6 +90,9 @@ class SearchConfig:
         # not (t > 0) also rejects a NaN time limit, which never expires
         if self.node_limit < 1 or not self.time_limit_seconds > 0:
             raise ValueError("limits must be positive")
+        if self.seed_matrix is not None and self.mode != "greedy-seeded":
+            raise ValueError(f"a seed matrix is used only by greedy-seeded mode, "
+                             f"not {self.mode}")
 
 
 @dataclass(frozen=True)
@@ -139,19 +144,33 @@ def hermite_bases(delta: int, r: int) -> list[IntMatrix]:
 
 
 def _grid_candidates(h: IntMatrix, delta: int) -> list[tuple[int, ...]]:
+    """The canonical columns H y / det H for integer y in [-delta, delta]^r,
+    other than H's own columns, in search order.
+
+    The grid is one int64 array, refused before it is built if it would
+    need more than ``MAX_SCAN_BYTES``. No dedupe is needed: if
+    H y' / det H = g p with p primitive, then y' = g adj(H) p, so
+    y = adj(H) p lies in the grid too and maps to p itself. Each canonical
+    column is thus met exactly once, as a primitive image with a positive
+    leading entry.
+    """
     r = h.rows
+    need = (2 * delta + 1) ** r * r * 8
+    if need > MAX_SCAN_BYTES:
+        raise ValueError(
+            f"the candidate grid [-{delta}, {delta}]^{r} needs {need / 2 ** 30:.1f} GiB, "
+            f"over the {MAX_SCAN_BYTES / 2 ** 30:.0f} GiB limit")
     d = prod(h.entries[k][k] for k in range(r))
-    cols = set()
-    for y in product(range(-delta, delta + 1), repeat=r):
-        if not any(y):
-            continue
-        v = [sum(h.entries[i][j] * y[j] for j in range(r)) for i in range(r)]
-        if any(x % d for x in v):
-            continue
-        cols.add(_canonical(tuple(x // d for x in v)))
-    seed_cols = h.columns()
-    return _sorted_universe({c for c in cols
-                             if not any(is_parallel(c, s) for s in seed_cols)})
+    ys = np.indices((2 * delta + 1,) * r, dtype=np.int64).reshape(r, -1)
+    ys -= delta
+    # |entries| <= r * delta**2: no grid under the limit comes near int64's
+    v = ys.T @ np.array(h.entries, dtype=np.int64).T
+    if d > 1:
+        v = v[(v % d == 0).all(axis=1)] // d
+    lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
+    v = v[(np.gcd.reduce(v, axis=1) == 1) & (lead > 0)]
+    seeds = {_canonical(c) for c in h.columns()}
+    return _sorted_universe(set(map(tuple, v.tolist())) - seeds)
 
 
 def _seed_bases(delta: int, r: int, mode: str) -> list[IntMatrix]:
@@ -174,20 +193,32 @@ _CLOCK_EVERY = 1024
 
 
 class _Budget:
+    """Node and time budget of one search.
+
+    ``charge(k)`` counts the next k nodes at once. The node limit is exact: a
+    block that crosses it stops at node ``node_limit + 1``. The clock is read
+    only when a block crosses a multiple of ``_CLOCK_EVERY``; if the deadline
+    has passed, the count stops at the first multiple crossed, so the time
+    limit is noticed fewer than that many nodes late. Either way the node
+    that stops the search is counted but not examined.
+    """
+
     def __init__(self, node_limit: int, time_limit: float):
         self.node_limit = node_limit
         self.deadline = time.monotonic() + time_limit
         self.nodes = 0
         self.exceeded = False
 
-    def tick(self) -> bool:
-        """Count one node. The node limit is exact; the clock is read only
-        every ``_CLOCK_EVERY`` nodes, so the time limit is noticed fewer than
-        that many nodes late."""
-        self.nodes += 1
-        if self.nodes > self.node_limit or (
-                not self.nodes % _CLOCK_EVERY and time.monotonic() > self.deadline):
-            self.exceeded = True
+    def charge(self, k: int) -> bool:
+        """Count k more nodes; False once the budget is exceeded."""
+        before, self.nodes = self.nodes, self.nodes + k
+        multiple = (before // _CLOCK_EVERY + 1) * _CLOCK_EVERY
+        if self.nodes >= multiple or self.nodes > self.node_limit:
+            end = min(self.nodes, self.node_limit + 1)
+            if multiple <= end and time.monotonic() > self.deadline:
+                self.nodes, self.exceeded = multiple, True
+            elif self.nodes > self.node_limit:
+                self.nodes, self.exceeded = end, True
         return not self.exceeded
 
     def stop_reason(self) -> str:
@@ -245,34 +276,41 @@ class _PairRows:
 def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget):
     """Depth-first max subset with count bound; returns (best, selection).
 
-    ``live`` is the AND of the compatibility rows of the chosen candidates;
-    a candidate outside it still costs a node but skips ``try_add``, which
-    would reject it.
+    ``live`` is the AND of the compatibility rows of the chosen candidates.
+    Only its set bits are offered to ``try_add``; the candidates between
+    them, which ``try_add`` would reject, are still nodes and are charged to
+    the budget in one block, up to the first index where the count bound
+    fails.
     """
     best = seed_count
     best_sel: tuple[int, ...] = ()
     sel: list[int] = []
     n = len(cands)
 
-    def rec(start: int, live: int) -> None:
+    def rec(i: int, live: int) -> None:
         nonlocal best, best_sel
-        for i in range(start, n):
-            if budget.exceeded:
+        while True:
+            stop = n + seed_count + len(sel) - best  # the count bound fails from here
+            low = live & -live
+            j = low.bit_length() - 1 if live else n
+            if j >= stop:
+                if stop > i:
+                    budget.charge(stop - i)
                 return
-            if seed_count + len(sel) + (n - i) <= best:
+            if not budget.charge(j + 1 - i):
                 return
-            if not budget.tick():
-                return
-            if not live >> i & 1:
-                continue
-            if try_add(cands[i]):
-                sel.append(i)
+            live ^= low
+            i = j + 1
+            if try_add(cands[j]):
+                sel.append(j)
                 if seed_count + len(sel) > best:
                     best = seed_count + len(sel)
                     best_sel = tuple(sel)
-                rec(i + 1, live & rows[i])
+                rec(i, live & rows[j])
                 undo()
                 sel.pop()
+                if budget.exceeded:
+                    return
 
     rec(0, (1 << n) - 1)
     return best, best_sel
@@ -298,8 +336,8 @@ class _GeneralChecker(IdentityAnchoredChecker):
 def _search_stats(budget: _Budget, checkers: list[tuple[str, object]]) -> dict:
     """Nodes, pair-filter skips, per-checker work and the stop reason.
 
-    Every node that passed its budget tick either was skipped by the pair
-    filter or called ``try_add``; the one node whose tick exceeded the
+    Every node charged within the budget either was skipped by the pair
+    filter or called ``try_add``; the one node whose charge exceeded the
     budget did neither. The greedy mode lists no checker and has no pair
     filter.
     """
@@ -368,7 +406,7 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
             if k not in basis and not checker.try_add(c):
                 raise RuntimeError("the checker rejected a column of a feasible seed")
         for c in column_universe(delta, r, config.mode):
-            if not budget.tick():
+            if not budget.charge(1):
                 break
             if any(is_parallel(c, s) for s in cols):
                 continue

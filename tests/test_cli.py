@@ -207,6 +207,17 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    def test_seed_outside_greedy_mode(self, capsys, sporadic_file):
+        code, out, err = run_cli(capsys, "search", "--delta", "2", "--rank", "2",
+                                 "--mode", "identity", "--seed", sporadic_file)
+        assert code == 2 and out == ""
+        assert "greedy-seeded" in err
+
+    def test_search_grid_too_large(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--delta", "2", "--rank", "13")
+        assert code == 2 and out == ""
+        assert err.startswith("error: the candidate grid")
+
     def test_nu_requires_arguments(self, capsys):
         assert run(["nu", "--partition", "2"]) == 2
 

@@ -1,9 +1,11 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 import pytest
 
+from deltamod import search
 from deltamod.exact import _pivot_cols, det, is_parallel, primitive_part, rank
 from deltamod.families import (build_A, build_A_lee, expected_count, partitions,
                                sporadic_rank3)
@@ -13,6 +15,20 @@ from deltamod.search import (SearchConfig, column_universe, hermite_bases,
                              max_columns_search, verify_is_feasible, _canonical,
                              _Budget, _CLOCK_EVERY, _GeneralChecker, _grid_candidates,
                              _PairRows)
+
+
+def _grid_by_loop(h: IntMatrix, delta: int) -> list[tuple[int, ...]]:
+    """Every y in [-delta, delta]^r in Python ints: the canonical columns
+    H y / det H, deduplicated, without H's own, in search order."""
+    r = h.rows
+    d = prod(h.entries[k][k] for k in range(r))
+    cols = set()
+    for y in product(range(-delta, delta + 1), repeat=r):
+        v = [sum(h.entries[i][j] * y[j] for j in range(r)) for i in range(r)]
+        if any(y) and not any(x % d for x in v):
+            cols.add(_canonical([x // d for x in v]))
+    cols = {c for c in cols if not any(is_parallel(c, s) for s in h.columns())}
+    return sorted(cols, key=lambda c: (max(abs(v) for v in c), c))
 
 
 class TestUniverse:
@@ -46,6 +62,11 @@ class TestUniverse:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             column_universe(1, 2, "bogus")
+
+    @pytest.mark.parametrize("delta, r", [(1, 3), (2, 3), (3, 3), (5, 2), (2, 4), (1, 5)])
+    def test_grid_matches_loop_reference(self, delta, r):
+        for h in hermite_bases(delta, r):
+            assert _grid_candidates(h, delta) == _grid_by_loop(h, delta)
 
 
 class TestHermiteBases:
@@ -201,7 +222,9 @@ class TestCertificates:
     def test_time_limit_downgrades_optimality(self):
         cert = max_columns_search(SearchConfig(2, 4, "identity-anchored",
                                                time_limit_seconds=0.01))
-        assert not cert.optimal
+        assert not cert.optimal and cert.stats["stop"] == "time-limit"
+        # the search stops at the clock reading that saw the deadline pass
+        assert cert.nodes_explored % _CLOCK_EVERY == 0
         assert verify_is_feasible(cert.best_matrix, 2)
 
     @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
@@ -211,12 +234,35 @@ class TestCertificates:
 
     def test_budget_counts_nodes_exactly_and_reads_clock_in_blocks(self):
         by_nodes = _Budget(node_limit=5, time_limit=600.0)
-        assert [by_nodes.tick() for _ in range(6)] == [True] * 5 + [False]
+        assert [by_nodes.charge(1) for _ in range(6)] == [True] * 5 + [False]
         by_time = _Budget(node_limit=10 ** 8, time_limit=1e-9)
         time.sleep(0.001)
-        assert all(by_time.tick() for _ in range(_CLOCK_EVERY - 1))
-        assert not by_time.tick()
+        assert all(by_time.charge(1) for _ in range(_CLOCK_EVERY - 1))
+        assert not by_time.charge(1)
         assert by_time.nodes == _CLOCK_EVERY and by_time.exceeded
+
+    def test_charge_straddling_the_node_limit_stops_one_past_it(self):
+        budget = _Budget(node_limit=10, time_limit=600.0)
+        assert budget.charge(7)
+        assert not budget.charge(7)
+        assert budget.nodes == 11 and budget.stop_reason() == "node-limit"
+
+    def test_charge_past_the_deadline_stops_at_the_clock_multiple(self):
+        budget = _Budget(node_limit=10 ** 8, time_limit=1e-9)
+        time.sleep(0.001)
+        assert budget.charge(_CLOCK_EVERY - 3)
+        assert not budget.charge(3 * _CLOCK_EVERY)
+        assert budget.nodes == _CLOCK_EVERY and budget.stop_reason() == "time-limit"
+        # the multiple comes before the node limit that the same block crosses
+        both = _Budget(node_limit=_CLOCK_EVERY + 5, time_limit=1e-9)
+        time.sleep(0.001)
+        assert not both.charge(3 * _CLOCK_EVERY)
+        assert both.nodes == _CLOCK_EVERY and both.stop_reason() == "time-limit"
+
+    def test_charge_before_the_deadline_counts_the_whole_block(self):
+        budget = _Budget(node_limit=10 ** 8, time_limit=600.0)
+        assert budget.charge(5 * _CLOCK_EVERY + 7)
+        assert budget.nodes == 5 * _CLOCK_EVERY + 7 and budget.stop_reason() == "exhausted"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -225,6 +271,23 @@ class TestCertificates:
             SearchConfig(1, 3, "bogus")
         with pytest.raises(ValueError):
             SearchConfig(1, 3, "identity-anchored", node_limit=0)
+
+    @pytest.mark.parametrize("mode", ["identity-anchored", "hnf-exhaustive"])
+    def test_seed_matrix_outside_greedy_is_refused(self, mode):
+        with pytest.raises(ValueError, match="greedy-seeded"):
+            SearchConfig(3, 3, mode, seed_matrix=sporadic_rank3())
+
+    def test_grid_too_large_to_build_is_refused(self):
+        with pytest.raises(ValueError, match=r"\[-2, 2\]\^13 needs 118.2 GiB"):
+            max_columns_search(SearchConfig(2, 13, "identity-anchored"))
+
+    def test_grid_refusal_is_at_the_scan_byte_limit(self, monkeypatch):
+        # the (2, 3) grid is 125 vectors of 3 int64 entries: 3000 bytes
+        monkeypatch.setattr(search, "MAX_SCAN_BYTES", 3000)
+        assert len(_grid_candidates(IntMatrix.identity(3), 2)) == 46
+        monkeypatch.setattr(search, "MAX_SCAN_BYTES", 2999)
+        with pytest.raises(ValueError, match="over the"):
+            _grid_candidates(IntMatrix.identity(3), 2)
 
 
 class TestVerifyFeasible:
@@ -407,6 +470,50 @@ PINNED_SEARCHES = [
     (SearchConfig(5, 2, "hnf-exhaustive"), 8, True, 19335,
      [[1, 0, 1, 1, 1, 1, 2, 2], [0, 1, -1, 1, -2, 2, -1, 1]]),
 ]
+
+
+_M24 = PINNED_SEARCHES[2][4]
+_M33 = [[1, 0, 0, 0, 0, 1, 1, 1, 1, 1], [0, 1, 0, 1, 1, -1, -1, -1, 0, 0],
+        [0, 0, 1, -1, 1, -1, 0, 1, -1, 1]]
+_M33_SPORADIC = PINNED_SEARCHES[3][4]
+_M23 = PINNED_SEARCHES[1][4]
+_FIRST_NODE = {4: [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, -1]],
+               3: [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, -1]]}
+
+# Node-limited runs whose limit falls on a clock multiple (1024) or next to
+# it, or whose last node lies inside a run of pair-filter skips (the last
+# two limits of each configuration); the skipped candidates are charged in
+# blocks, and each block must stop on the same node as one charge per node.
+NODE_LIMITED = [
+    ((2, 4, "identity-anchored"), 1, 5, 2, 0, _FIRST_NODE[4]),
+    ((2, 4, "identity-anchored"), 1023, 13, 1024, 890, _M24),
+    ((2, 4, "identity-anchored"), 1024, 13, 1025, 891, _M24),
+    ((2, 4, "identity-anchored"), 1025, 13, 1026, 892, _M24),
+    ((2, 4, "identity-anchored"), 150, 13, 151, 107, _M24),
+    ((2, 4, "identity-anchored"), 31226, 13, 31227, 29342, _M24),
+    ((3, 3, "identity-anchored"), 1, 4, 2, 0, _FIRST_NODE[3]),
+    ((3, 3, "identity-anchored"), 1023, 10, 1024, 895, _M33),
+    ((3, 3, "identity-anchored"), 1024, 10, 1025, 896, _M33),
+    ((3, 3, "identity-anchored"), 1025, 10, 1026, 897, _M33),
+    ((3, 3, "identity-anchored"), 200, 10, 201, 149, _M33),
+    ((3, 3, "identity-anchored"), 29375, 11, 29376, 27517, _M33_SPORADIC),
+    ((2, 3, "hnf-exhaustive"), 1, 4, 2, 0, _FIRST_NODE[3]),
+    ((2, 3, "hnf-exhaustive"), 1023, 9, 1024, 880, _M23),
+    ((2, 3, "hnf-exhaustive"), 1024, 9, 1025, 881, _M23),
+    ((2, 3, "hnf-exhaustive"), 1025, 9, 1026, 882, _M23),
+    ((2, 3, "hnf-exhaustive"), 40, 9, 41, 29, _M23),
+    ((2, 3, "hnf-exhaustive"), 22585, 9, 22586, 20525, _M23),
+]
+
+
+@pytest.mark.parametrize("case, limit, count, nodes, skips, entries", NODE_LIMITED,
+                         ids=[f"{d}-{r}-{mode.split('-')[0]}-{limit}"
+                              for (d, r, mode), limit, *_ in NODE_LIMITED])
+def test_node_limited_search_outputs(case, limit, count, nodes, skips, entries):
+    cert = max_columns_search(SearchConfig(*case, node_limit=limit))
+    assert (cert.best_count, cert.optimal, cert.nodes_explored) == (count, False, nodes)
+    assert cert.stats["pairFilterSkips"] == skips and cert.stats["stop"] == "node-limit"
+    assert cert.best_matrix == IntMatrix.from_rows(entries)
 
 
 @pytest.mark.parametrize("config, count, optimal, nodes, entries", PINNED_SEARCHES,
