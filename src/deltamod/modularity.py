@@ -413,7 +413,7 @@ class IdentityAnchoredChecker:
     """Grow a column set over a fixed unit basis with exact bound checks.
 
     With ``d`` > 1 the columns are basis coordinates adj(B) c over a basis B
-    with |det B| = d (``search._GeneralChecker``). A family of parts with
+    with |det B| = d (``search.max_columns_search``). A family of parts with
     union U stands for minors of k = |U| of them (a spanning tree of each
     part plus one extra per part), held to ``caps[k]`` = delta * d**(k-1).
 

@@ -23,11 +23,11 @@ subdeterminants all stay within delta. Three modes:
   candidate grid therefore exhausts the search space, and the maximum
   over bases is exact.
 
-  Every basis is checked in these coordinates: with d = det(H) and
-  Y = adj(H) C, [H | C] = H [I | Y / d], so a rank-sized minor through k
-  columns of C is, up to sign, a k x k minor of Y divided by d**(k-1). The
-  identity-anchored checker, holding each k x k minor of Y to
-  delta * d**(k-1), serves every basis (``_GeneralChecker``).
+  Every basis is searched in these coordinates, the grid's own: with
+  d = det(H) and Y = adj(H) C, [H | C] = H [I | Y / d], so a rank-sized
+  minor through k columns of C is, up to sign, a k x k minor of Y divided
+  by d**(k-1). The identity-anchored checker, fed the rows y and holding
+  each k x k minor of Y to delta * d**(k-1), serves every basis.
 
 * greedy-seeded: one greedy pass extending a provided feasible matrix,
   checked in the basis coordinates of its pivot columns; reported as a
@@ -41,7 +41,7 @@ matrix is the lexicographically least among maximum solutions.
 Pair filter. For a seed basis H, bit j of candidate i's compatibility row
 is set iff H plus candidates i and j is delta-modular. The minors that use
 both candidates are, by the argument above, the 2 x 2 minors of their
-coordinates [y_i y_j] divided by d, so one row is a single exact
+grid coordinates [y_i y_j] divided by d, so one row is a single int64
 vectorised product over the later candidates against the cap delta * d.
 The depth-first search carries the AND of the rows of the chosen
 candidates and skips a candidate whose bit is clear without asking the
@@ -65,8 +65,8 @@ from math import comb, gcd, prod
 
 import numpy as np
 
-from ._batch import MAX_SCAN_BYTES, scan_dtype, subset_minors
-from .exact import _bareiss_det, _canonical, _pivot_cols, is_parallel, rank
+from ._batch import MAX_SCAN_BYTES, subset_minors
+from .exact import _bareiss_det, _canonical, _pivot_cols, rank
 from .intmatrix import IntMatrix, ShapeError
 from .modularity import IdentityAnchoredChecker, is_delta_modular, parallel_violations
 
@@ -143,34 +143,39 @@ def hermite_bases(delta: int, r: int) -> list[IntMatrix]:
     return bases
 
 
-def _grid_candidates(h: IntMatrix, delta: int) -> list[tuple[int, ...]]:
-    """The canonical columns H y / det H for integer y in [-delta, delta]^r,
-    other than H's own columns, in search order.
+def _grid_candidates(h: IntMatrix, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical columns c = H y / det H for integer y in [-delta, delta]^r
+    other than H's own, and their coordinates y = adj(H) c: two int64 arrays
+    of shape (n, r), rows in search order.
 
-    The grid is one int64 array, refused before it is built if it would
-    need more than ``MAX_SCAN_BYTES``. No dedupe is needed: if
+    The grid and its image are refused before they are built if together
+    they would need more than ``MAX_SCAN_BYTES``. No dedupe is needed: if
     H y' / det H = g p with p primitive, then y' = g adj(H) p, so
     y = adj(H) p lies in the grid too and maps to p itself. Each canonical
-    column is thus met exactly once, as a primitive image with a positive
-    leading entry.
+    column is thus met exactly once, with its coordinates, as a primitive
+    image with a positive leading entry.
     """
     r = h.rows
-    need = (2 * delta + 1) ** r * r * 8
+    need = 2 * (2 * delta + 1) ** r * r * 8
     if need > MAX_SCAN_BYTES:
         raise ValueError(
-            f"the candidate grid [-{delta}, {delta}]^{r} needs {need / 2 ** 30:.1f} GiB, "
-            f"over the {MAX_SCAN_BYTES / 2 ** 30:.0f} GiB limit")
+            f"the candidate grid [-{delta}, {delta}]^{r} needs {need / 2 ** 30:.1f} GiB "
+            f"with its image, over the {MAX_SCAN_BYTES / 2 ** 30:.0f} GiB limit")
     d = prod(h.entries[k][k] for k in range(r))
-    ys = np.indices((2 * delta + 1,) * r, dtype=np.int64).reshape(r, -1)
+    ys = np.indices((2 * delta + 1,) * r, dtype=np.int64).reshape(r, -1).T
     ys -= delta
     # |entries| <= r * delta**2: no grid under the limit comes near int64's
-    v = ys.T @ np.array(h.entries, dtype=np.int64).T
+    cs = ys @ np.array(h.entries, dtype=np.int64).T
     if d > 1:
-        v = v[(v % d == 0).all(axis=1)] // d
-    lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
-    v = v[(np.gcd.reduce(v, axis=1) == 1) & (lead > 0)]
-    seeds = {_canonical(c) for c in h.columns()}
-    return _sorted_universe(set(map(tuple, v.tolist())) - seeds)
+        keep = (cs % d == 0).all(axis=1)
+        ys, cs = ys[keep], cs[keep] // d
+    lead = cs[np.arange(len(cs)), (cs != 0).argmax(axis=1)]
+    keep = (np.gcd.reduce(cs, axis=1) == 1) & (lead > 0)
+    for col in h.columns():
+        keep &= (cs != col).any(axis=1)
+    ys, cs = ys[keep], cs[keep]
+    order = np.lexsort((*cs.T[::-1], np.abs(cs).max(axis=1)))
+    return cs[order], ys[order]
 
 
 def _seed_bases(delta: int, r: int, mode: str) -> list[IntMatrix]:
@@ -185,7 +190,7 @@ def column_universe(delta: int, r: int, mode: str) -> list[tuple[int, ...]]:
     cols: set[tuple[int, ...]] = set()
     for h in _seed_bases(delta, r, mode):
         cols.update(_canonical(c) for c in h.columns())
-        cols.update(_grid_candidates(h, delta))
+        cols.update(map(tuple, _grid_candidates(h, delta)[0].tolist()))
     return _sorted_universe(cols)
 
 
@@ -250,17 +255,16 @@ class _PairRows:
 
     ``rows[i]`` is a Python int whose bit j (j > i) is set iff the seed
     basis B plus candidates i and j is delta-modular: iff every 2 x 2 minor
-    of their basis coordinates [y_i y_j] is within delta * |det B|. A row is
-    one kernel pass over the pairs with every later candidate.
+    of their grid coordinates [y_i y_j] (rows of ``ys``) is within ``cap`` =
+    delta * |det B|. A row is one int64 kernel pass over the pairs with every
+    later candidate: |y| <= delta < 2**25 (the grid refusal keeps
+    16 * (2 * delta + 1) within 2**30), so every minor is below 2**51.
     """
 
-    def __init__(self, seed_cols, cands, delta: int):
-        adj, d = _basis_coords(seed_cols)
-        ys = [_coords(adj, c) for c in cands]
-        bound = max((abs(v) for y in ys for v in y), default=1)
-        self.ys = np.array(ys, dtype=scan_dtype(2, bound)).reshape(len(ys), len(adj))
-        self.cap = delta * d
-        self._rows: list[int | None] = [None] * len(cands)
+    def __init__(self, ys: np.ndarray, cap: int):
+        self.ys = ys
+        self.cap = cap
+        self._rows: list[int | None] = [None] * len(ys)
 
     def __getitem__(self, i: int) -> int:
         row = self._rows[i]
@@ -317,20 +321,16 @@ def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget):
 
 
 class _GeneralChecker(IdentityAnchoredChecker):
-    """The identity-anchored checker in the basis coordinates y = adj(B) c
-    of a nonsingular basis B, with the caps delta * |det B|**(k-1). Each
-    column's coordinates are kept, as the search offers it again and again."""
+    """Greedy's checker: the identity-anchored checker in the basis
+    coordinates y = adj(B) c of the seed's pivot columns B, with the caps
+    delta * |det B|**(k-1). Greedy offers each column once; nothing is cached."""
 
     def __init__(self, basis_cols, delta: int):
         self.adjugate, d = _basis_coords(basis_cols)
-        self.coords: dict[tuple[int, ...], tuple[int, ...]] = {}
         super().__init__(len(basis_cols), delta, d)
 
     def try_add(self, col: tuple[int, ...]) -> bool:
-        y = self.coords.get(col)
-        if y is None:
-            y = self.coords[col] = _coords(self.adjugate, col)
-        return super().try_add(y)
+        return super().try_add(_coords(self.adjugate, col))
 
 
 def _search_stats(budget: _Budget, checkers: list[tuple[str, object]]) -> dict:
@@ -373,17 +373,14 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
         best = 0
         matrix = None
         for h in _seed_bases(delta, r, config.mode):
-            seed_cols = h.columns()
-            cands = _grid_candidates(h, delta)
-            if h == IntMatrix.identity(r):
-                name, checker = "identity-anchored", IdentityAnchoredChecker(r, delta)
-            else:
-                name, checker = "general", _GeneralChecker(seed_cols, delta)
-            checkers.append((name, checker))
+            cs, ys = _grid_candidates(h, delta)
+            d = prod(h.entries[k][k] for k in range(r))
+            checker = IdentityAnchoredChecker(r, delta, d)
+            checkers.append(("identity-anchored" if d == 1 else "general", checker))
             h_best, sel = _branch_and_bound(
-                r, cands, _PairRows(seed_cols, cands, delta),
+                r, list(map(tuple, ys.tolist())), _PairRows(ys, delta * d),
                 checker.try_add, checker.pop, budget)
-            h_matrix = IntMatrix.from_cols(seed_cols + [list(cands[i]) for i in sel])
+            h_matrix = IntMatrix.from_cols(h.columns() + cs[list(sel)].tolist())
             if h_best > best or (h_best == best and (
                     matrix is None or h_matrix.entries < matrix.entries)):
                 best = h_best
@@ -405,10 +402,12 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
         for k, c in enumerate(cols):
             if k not in basis and not checker.try_add(c):
                 raise RuntimeError("the checker rejected a column of a feasible seed")
+        # universe columns are canonical and pairwise non-parallel
+        seen = {_canonical(c) for c in cols}
         for c in column_universe(delta, r, config.mode):
             if not budget.charge(1):
                 break
-            if any(is_parallel(c, s) for s in cols):
+            if c in seen:
                 continue
             if checker.try_add(c):
                 cols.append(c)

@@ -218,6 +218,11 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: the candidate grid")
 
+    def test_search_grid_and_image_too_large(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--delta", "2", "--rank", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("error: the candidate grid [-2, 2]^10 needs 1.5 GiB")
+
     def test_nu_requires_arguments(self, capsys):
         assert run(["nu", "--partition", "2"]) == 2
 

@@ -3,6 +3,7 @@ import time
 from itertools import combinations, product
 from math import prod
 
+import numpy as np
 import pytest
 
 from deltamod import search
@@ -13,8 +14,8 @@ from deltamod.intmatrix import IntMatrix, ShapeError
 from deltamod.modularity import is_delta_modular
 from deltamod.search import (SearchConfig, column_universe, hermite_bases,
                              max_columns_search, verify_is_feasible, _canonical,
-                             _Budget, _CLOCK_EVERY, _GeneralChecker, _grid_candidates,
-                             _PairRows)
+                             _basis_coords, _Budget, _CLOCK_EVERY, _coords,
+                             _GeneralChecker, _grid_candidates, _PairRows)
 
 
 def _grid_by_loop(h: IntMatrix, delta: int) -> list[tuple[int, ...]]:
@@ -66,7 +67,13 @@ class TestUniverse:
     @pytest.mark.parametrize("delta, r", [(1, 3), (2, 3), (3, 3), (5, 2), (2, 4), (1, 5)])
     def test_grid_matches_loop_reference(self, delta, r):
         for h in hermite_bases(delta, r):
-            assert _grid_candidates(h, delta) == _grid_by_loop(h, delta)
+            cs, ys = _grid_candidates(h, delta)
+            assert cs.dtype == ys.dtype == np.int64 and cs.shape == ys.shape
+            assert list(map(tuple, cs.tolist())) == _grid_by_loop(h, delta)
+            hm = np.array(h.entries, dtype=np.int64)
+            assert (ys @ hm.T == det(h) * cs).all()
+            adj = _basis_coords(h.columns())[0]
+            assert [_coords(adj, c) for c in cs.tolist()] == list(map(tuple, ys.tolist()))
 
 
 class TestHermiteBases:
@@ -278,14 +285,21 @@ class TestCertificates:
             SearchConfig(3, 3, mode, seed_matrix=sporadic_rank3())
 
     def test_grid_too_large_to_build_is_refused(self):
-        with pytest.raises(ValueError, match=r"\[-2, 2\]\^13 needs 118.2 GiB"):
+        with pytest.raises(ValueError, match=r"\[-2, 2\]\^13 needs 236.5 GiB"):
             max_columns_search(SearchConfig(2, 13, "identity-anchored"))
 
+    def test_grid_and_image_over_the_limit_are_refused(self):
+        # the (2, 10) grid alone is 781 MB, under the limit; with its image
+        # it is 1.5 GB
+        with pytest.raises(ValueError, match=r"\[-2, 2\]\^10 needs 1.5 GiB"):
+            max_columns_search(SearchConfig(2, 10, "identity-anchored"))
+
     def test_grid_refusal_is_at_the_scan_byte_limit(self, monkeypatch):
-        # the (2, 3) grid is 125 vectors of 3 int64 entries: 3000 bytes
-        monkeypatch.setattr(search, "MAX_SCAN_BYTES", 3000)
-        assert len(_grid_candidates(IntMatrix.identity(3), 2)) == 46
-        monkeypatch.setattr(search, "MAX_SCAN_BYTES", 2999)
+        # the (2, 3) grid is 125 vectors of 3 int64 entries, 3000 bytes, and
+        # its image as many again
+        monkeypatch.setattr(search, "MAX_SCAN_BYTES", 6000)
+        assert len(_grid_candidates(IntMatrix.identity(3), 2)[0]) == 46
+        monkeypatch.setattr(search, "MAX_SCAN_BYTES", 5999)
         with pytest.raises(ValueError, match="over the"):
             _grid_candidates(IntMatrix.identity(3), 2)
 
@@ -386,10 +400,10 @@ class TestPairFilter:
     """Bit j of row i is set iff the basis plus candidates i and j is
     delta-modular, checked against the full modularity decision."""
 
-    def _check(self, h: IntMatrix, delta: int, pairs=None, cands=None) -> _PairRows:
-        if cands is None:
-            cands = _grid_candidates(h, delta)
-        rows = _PairRows(h.columns(), cands, delta)
+    def _check(self, h: IntMatrix, delta: int, pairs=None) -> None:
+        cs, ys = _grid_candidates(h, delta)
+        rows = _PairRows(ys, delta * det(h))
+        cands = list(map(tuple, cs.tolist()))
         if pairs is None:
             pairs = combinations(range(len(cands)), 2)
         for i, j in pairs:
@@ -397,7 +411,6 @@ class TestPairFilter:
             assert got == _pair_feasible(h, cands[i], cands[j], delta), (i, j)
         for i in range(len(cands)):
             assert rows[i] >> (i + 1) << (i + 1) == rows[i]  # only j > i
-        return rows
 
     def test_every_pair_every_basis_bimodular_rank3(self):
         bases = hermite_bases(2, 3)
@@ -408,7 +421,7 @@ class TestPairFilter:
     @pytest.mark.parametrize("delta, r", [(3, 3), (2, 4)])
     def test_sampled_pairs_identity_basis(self, delta, r):
         rng = random.Random(1000 * delta + r)
-        n = len(_grid_candidates(IntMatrix.identity(r), delta))
+        n = len(_grid_candidates(IntMatrix.identity(r), delta)[0])
         pairs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(300)]
         self._check(IntMatrix.identity(r), delta, pairs)
 
@@ -417,24 +430,17 @@ class TestPairFilter:
         bases = hermite_bases(3, 3)
         assert len(bases) == 15
         for h in bases:
-            n = len(_grid_candidates(h, 3))
+            n = len(_grid_candidates(h, 3)[0])
             pairs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(200)]
             self._check(h, 3, pairs)
-
-    def test_exact_rows_for_entries_beyond_int64(self):
-        # entries too large for the int64 guard take the Python-int path
-        rng = random.Random(77)
-        cands = [tuple(rng.randint(-2 ** 40, 2 ** 40) for _ in range(3))
-                 for _ in range(12)]
-        rows = self._check(IntMatrix.identity(3), 2 ** 80, cands=cands)
-        assert rows.ys.dtype == object
 
     def test_identity_candidates_match_identity_mode(self):
         r, delta = 3, 2
         seed = [tuple(int(i == k) for i in range(r)) for k in range(r)]
         mode_cands = [c for c in column_universe(delta, r, "identity-anchored")
                       if not any(is_parallel(c, s) for s in seed)]
-        assert mode_cands == _grid_candidates(IntMatrix.identity(r), delta)
+        assert mode_cands == list(map(tuple, _grid_candidates(
+            IntMatrix.identity(r), delta)[0].tolist()))
 
 
 # Outputs of the benchmark's four search configurations and of small proved
@@ -525,3 +531,33 @@ def test_pinned_search_outputs(config, count, optimal, nodes, entries):
     cert = max_columns_search(config)
     assert (cert.best_count, cert.optimal, cert.nodes_explored) == (count, optimal, nodes)
     assert cert.best_matrix == IntMatrix.from_rows(entries)
+
+
+# Whole ``stats`` of searches that run both checkers, of one that stops on
+# the node limit, and of the greedy mode.
+PINNED_STATS = [
+    (SearchConfig(2, 3, "hnf-exhaustive"),
+     {"nodes": 44822, "pairFilterSkips": 40526, "stop": "exhausted", "checkers": {
+         "identity-anchored": {"tryAdd": 3723, "accepted": 2327,
+                               "minorHits": 5347, "minorFills": 3736},
+         "general": {"tryAdd": 573, "accepted": 538,
+                     "minorHits": 1244, "minorFills": 1047}}}),
+    (SearchConfig(5, 2, "hnf-exhaustive"),
+     {"nodes": 19335, "pairFilterSkips": 17557, "stop": "exhausted", "checkers": {
+         "identity-anchored": {"tryAdd": 1050, "accepted": 1050,
+                               "minorHits": 0, "minorFills": 0},
+         "general": {"tryAdd": 728, "accepted": 728,
+                     "minorHits": 0, "minorFills": 0}}}),
+    (SearchConfig(2, 4, "identity-anchored", node_limit=3000),
+     {"nodes": 3001, "pairFilterSkips": 2738, "stop": "node-limit", "checkers": {
+         "identity-anchored": {"tryAdd": 262, "accepted": 20,
+                               "minorHits": 2705, "minorFills": 486}}}),
+    (SearchConfig(3, 3, "greedy-seeded", seed_matrix=sporadic_rank3()),
+     {"nodes": 145, "pairFilterSkips": 0, "stop": "exhausted", "checkers": {}}),
+]
+
+
+@pytest.mark.parametrize("config, stats", PINNED_STATS,
+                         ids=["2-3-hnf", "5-2-hnf", "2-4-identity-3000", "3-3-greedy"])
+def test_pinned_search_stats(config, stats):
+    assert max_columns_search(config).stats == stats
