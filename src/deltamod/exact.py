@@ -1,8 +1,9 @@
 """Exact integer linear algebra.
 
-Determinants use fraction-free (Bareiss) elimination over Python ints, so
-results are exact for any entry size. The naive cofactor expansion is kept
-as an independent test oracle. Subdeterminant maxima are found by brute
+One fraction-free (Bareiss) row echelon over Python ints, ``_echelon``,
+serves the determinant, the rank and the pivot columns, so results are
+exact for any entry size. The naive cofactor expansion is kept as an
+independent test oracle. Subdeterminant maxima are found by brute
 enumeration factored through a column basis: the shared minor kernel of
 ``_batch`` ranks the row subsets of the basis columns and then the column
 subsets of the best rows, never their product. It runs in int64 when its
@@ -22,30 +23,44 @@ from . import _batch
 from .intmatrix import DegenerateRankError, IntMatrix, ShapeError, SubmatrixWitness
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination; mutates ``rows``."""
-    n = len(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            rik = rows[i][k]
-            ri = rows[i]
-            rk = rows[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pivot - rik * rk[j]) // prev
-            ri[k] = 0
+def _echelon(a: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon of ``a`` in place.
+
+    Returns the pivot columns and the sign of the row swaps. The last pivot
+    of a nonsingular square ``a`` is its determinant times that sign.
+    """
+    n_rows = len(a)
+    n_cols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    sign = prev = 1
+    r = 0
+    for c in range(n_cols):
+        rr = a[r]
+        if rr[c] == 0:
+            piv = next((i for i in range(r + 1, n_rows) if a[i][c] != 0), None)
+            if piv is None:
+                continue
+            a[r], a[piv] = a[piv], rr
+            rr = a[r]
+            sign = -sign
+        pivot = rr[c]
+        for ri in a[r + 1:]:
+            aic = ri[c]
+            for j in range(c + 1, n_cols):
+                ri[j] = (ri[j] * pivot - aic * rr[j]) // prev
+            ri[c] = 0
         prev = pivot
-    return sign * rows[n - 1][n - 1]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return pivots, sign
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Exact determinant of a square matrix; mutates ``rows``."""
+    pivots, sign = _echelon(rows)
+    return sign * rows[-1][-1] if len(pivots) == len(rows) else 0
 
 
 def det(m: IntMatrix) -> int:
@@ -82,27 +97,7 @@ def det_cofactor(m: IntMatrix) -> int:
 
 def _pivot_cols(m: IntMatrix) -> list[int]:
     """Pivot columns of a fraction-free row echelon: a column basis."""
-    a = [list(r) for r in m.entries]
-    n_rows, n_cols = m.rows, m.cols
-    pivots: list[int] = []
-    prev = 1
-    for c in range(n_cols):
-        r = len(pivots)
-        if r == n_rows:
-            break
-        piv = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, n_rows):
-            aic = a[i][c]
-            for j in range(c + 1, n_cols):
-                a[i][j] = (a[i][j] * pivot - aic * a[r][j]) // prev
-            a[i][c] = 0
-        prev = pivot
-        pivots.append(c)
-    return pivots
+    return _echelon([list(r) for r in m.entries])[0]
 
 
 def rank(m: IntMatrix) -> int:
@@ -178,7 +173,8 @@ def max_abs_full_rank_subdet(m: IntMatrix) -> tuple[int, SubmatrixWitness]:
 def is_parallel(u: Sequence[int], v: Sequence[int]) -> bool:
     """True iff u and v are linearly dependent (all 2x2 minors vanish).
 
-    The zero vector is dependent with everything.
+    The zero vector is dependent with everything. The library groups
+    columns by ``_canonical`` instead; this pairwise test is its reference.
     """
     if len(u) != len(v):
         raise ShapeError("vectors of different lengths")
@@ -204,6 +200,23 @@ def _canonical(col: Sequence[int]) -> tuple[int, ...]:
     c = primitive_part(col)
     lead = next(v for v in c if v)
     return c if lead > 0 else tuple(-v for v in c)
+
+
+def _parallel_groups(cols: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Column indices grouped by ``_canonical``, and the zero columns.
+
+    Groups are the parallel classes of the nonzero columns, each ascending,
+    in order of their first index. Zero columns (loops) are parallel to
+    every column and belong to no group.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    loops = []
+    for j, c in enumerate(cols):
+        if any(c):
+            groups.setdefault(_canonical(c), []).append(j)
+        else:
+            loops.append(j)
+    return list(groups.values()), loops
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

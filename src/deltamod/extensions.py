@@ -10,9 +10,12 @@ admissible single columns finitely enumerable for each bound.
 
 Pairs and triples of extension columns are pinned down by giving each
 column a dedicated row carrying the entry 1 (the remaining rows form the
-shared support). Pairs are enumerated against the exact modularity check at
-minimal embedding rank; triples are refuted by exhibiting a square
-subdeterminant that exceeds the bound.
+shared support). One form serves any number k of such columns:
+``embed_anchored`` builds the clique plus the k columns with their unit
+rows, and ``canonical_rows`` keys them up to row and column permutation.
+Pairs are enumerated against the exact modularity check at minimal
+embedding rank; triples are refuted by exhibiting a square subdeterminant
+that exceeds the bound.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Sequence
 
-from .exact import det, is_parallel
-from .families import _partitions_desc
+from .exact import det
+from .families import _difference_columns, _partitions_desc
 from .intmatrix import IntMatrix, ShapeError, SubmatrixWitness
 from .modularity import is_delta_modular
 
@@ -31,13 +34,7 @@ def clique_matrix(n: int) -> IntMatrix:
     """All difference columns e_i - e_j for 1 <= i < j <= n, lexicographic."""
     if n < 2:
         raise ValueError("clique needs at least 2 rows")
-    cols = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [0] * n
-            v[i], v[j] = 1, -1
-            cols.append(v)
-    return IntMatrix.from_cols(cols)
+    return IntMatrix.from_cols(_difference_columns(n))
 
 
 def max_subset_sum(a: Sequence[int]) -> int:
@@ -143,22 +140,26 @@ class CanonicalPair:
         return len(self.rows)
 
 
-def canonical_pair_rows(a: Sequence[int], b: Sequence[int]
-                        ) -> tuple[tuple[int, int], ...]:
-    rows = [(x, y) for x, y in zip(a, b) if x or y]
-    fwd = tuple(sorted(rows))
-    swp = tuple(sorted((y, x) for x, y in rows))
-    return min(fwd, swp)
+def canonical_rows(*cols: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Canonical form of k extension columns under row and column permutation.
+
+    The rows of the columns side by side, zero rows dropped and the rest
+    sorted; the least such tuple over every order of the columns.
+    """
+    return min(tuple(sorted(r for r in zip(*order) if any(r)))
+               for order in permutations(cols))
 
 
-def embed_pair(a: Sequence[int], b: Sequence[int]) -> IntMatrix:
-    """Clique plus the two columns, each with its own unit row appended."""
-    t = len(a)
-    if len(b) != t:
-        raise ShapeError("pair columns must share a support length")
-    ca = list(a) + [1, 0]
-    cb = list(b) + [0, 1]
-    return clique_matrix(t + 2).hstack(IntMatrix.from_cols([ca, cb]))
+def embed_anchored(*cols: Sequence[int]) -> IntMatrix:
+    """Clique plus the k columns, each with its own unit row appended.
+
+    The columns share their first t rows; the clique spans all t + k rows.
+    """
+    t, k = len(cols[0]), len(cols)
+    if any(len(c) != t for c in cols):
+        raise ShapeError("extension columns must share a support length")
+    anchored = [list(c) + [int(i == j) for j in range(k)] for i, c in enumerate(cols)]
+    return clique_matrix(t + k).hstack(IntMatrix.from_cols(anchored))
 
 
 def _anchored_shapes(delta: int) -> list[tuple[int, ...]]:
@@ -206,20 +207,15 @@ def _pair_candidates(delta: int):
                             b = pb + (0,) * da + (-1,) * db
                             if a == b:
                                 continue
-                            key = canonical_pair_rows(a, b)
+                            key = canonical_rows(a, b)
                             if key not in seen:
                                 seen.add(key)
                                 yield key
 
 
 def _pair_is_admissible(rows: tuple[tuple[int, int], ...], delta: int) -> bool:
-    a = [x for x, _ in rows]
-    b = [y for _, y in rows]
-    m = embed_pair(a, b)
-    ca, cb = m.column(m.cols - 2), m.column(m.cols - 1)
-    if is_parallel(ca, cb):
-        return False
-    ok, _ = is_delta_modular(m, delta)
+    # never parallel: each column has a 1 in its own unit row, the other a 0
+    ok, _ = is_delta_modular(embed_anchored(*zip(*rows)), delta)
     return ok
 
 
@@ -248,24 +244,6 @@ class TripleRefutation:
     columns: tuple[tuple[int, int, int], ...]  # union-support rows of (a, b, c)
     matrix: IntMatrix                          # minimal embedding
     witness: SubmatrixWitness | None           # |det| > delta, None if none found
-
-
-def canonical_triple_rows(a: Sequence[int], b: Sequence[int], c: Sequence[int]
-                          ) -> tuple[tuple[int, int, int], ...]:
-    best = None
-    for order in permutations((tuple(a), tuple(b), tuple(c))):
-        rows = tuple(sorted(r for r in zip(*order) if any(r)))
-        if best is None or rows < best:
-            best = rows
-    return best
-
-
-def embed_triple(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> IntMatrix:
-    t = len(a)
-    ca = list(a) + [1, 0, 0]
-    cb = list(b) + [0, 1, 0]
-    cc = list(c) + [0, 0, 1]
-    return clique_matrix(t + 3).hstack(IntMatrix.from_cols([ca, cb, cc]))
 
 
 def _triple_candidates(delta: int):
@@ -299,11 +277,11 @@ def _triple_candidates(delta: int):
                         ce = tuple(c)
                         if ce == ae or ce == be:
                             continue
-                        if canonical_pair_rows(ae, ce) not in pair_keys:
+                        if canonical_rows(ae, ce) not in pair_keys:
                             continue
-                        if canonical_pair_rows(be, ce) not in pair_keys:
+                        if canonical_rows(be, ce) not in pair_keys:
                             continue
-                        key = canonical_triple_rows(ae, be, ce)
+                        key = canonical_rows(ae, be, ce)
                         if key not in seen:
                             seen.add(key)
                             yield key
@@ -320,10 +298,7 @@ def refute_triple_extensions(delta: int = 3) -> list[TripleRefutation]:
     """
     out = []
     for rows in sorted(_triple_candidates(delta)):
-        a = [r[0] for r in rows]
-        b = [r[1] for r in rows]
-        c = [r[2] for r in rows]
-        m = embed_triple(a, b, c)
+        m = embed_anchored(*zip(*rows))
         ok, wit = is_delta_modular(m, delta)
         out.append(TripleRefutation(rows, m, None if ok else wit))
     return out

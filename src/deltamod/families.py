@@ -101,16 +101,21 @@ def _unit(r: int, i: int, k: int = 1) -> list[int]:
     return v
 
 
-def _base_columns(r: int) -> tuple[list[list[int]], list[str]]:
-    cols = [_unit(r, i) for i in range(r)]
-    labels = ["A-1"] * r
-    for i in range(r):
-        for j in range(i + 1, r):
-            v = _unit(r, i)
+def _difference_columns(n: int) -> list[list[int]]:
+    """All columns e_i - e_j for 0 <= i < j < n, lexicographic: the clique."""
+    cols = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = _unit(n, i)
             v[j] = -1
             cols.append(v)
-            labels.append("A-2")
-    return cols, labels
+    return cols
+
+
+def _base_columns(r: int) -> tuple[list[list[int]], list[str]]:
+    """The unit columns (A-1), then the difference columns (A-2)."""
+    cols = [_unit(r, i) for i in range(r)] + _difference_columns(r)
+    return cols, ["A-1"] * r + ["A-2"] * comb(r, 2)
 
 
 def _check_count(m: IntMatrix, delta: int, r: int) -> None:

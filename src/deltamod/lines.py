@@ -1,11 +1,15 @@
 """Point and line structure of integer column configurations.
 
 A point is a maximal set of pairwise parallel nonzero columns; a line is a
-maximal rank-2 set; a long line has at least three points. The multiset of
-long-line lengths through the designated first unit column distinguishes
-the extremal families pairwise: it has a closed form driven by the
-partition, and the partition can be recovered from the multiset, so
-distinct partitions yield non-isomorphic column matroids.
+maximal rank-2 set; a long line has at least three points. Points are
+found by canonical form (``exact._canonical``, equal for two columns iff
+they are parallel): the parallel classes group the columns by it, and the
+points of a line are counted by it.
+
+The multiset of long-line lengths through the designated first unit
+column distinguishes the extremal families pairwise: it has a closed form
+driven by the partition, and the partition can be recovered from the
+multiset, so distinct partitions yield non-isomorphic column matroids.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .exact import _canonical, is_parallel
+from .exact import _canonical, _parallel_groups
 from .families import ExtremalMatrix, Partition, build_A, build_A_lee, partitions
 from .intmatrix import IntMatrix
 
@@ -87,18 +91,7 @@ class ParallelClasses:
 
 def parallel_classes(m: IntMatrix) -> ParallelClasses:
     """Group column indices into parallel classes; zero columns are loops."""
-    cols = m.columns()
-    loops = [j for j, c in enumerate(cols) if not any(c)]
-    classes: list[list[int]] = []
-    for j, c in enumerate(cols):
-        if not any(c):
-            continue
-        for cl in classes:
-            if is_parallel(cols[cl[0]], c):
-                cl.append(j)
-                break
-        else:
-            classes.append([j])
+    classes, loops = _parallel_groups(m.columns())
     return ParallelClasses(tuple(tuple(cl) for cl in classes), tuple(loops))
 
 

@@ -56,7 +56,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _batch
-from .exact import _row_pass, _scan_subdets, det, is_parallel
+from .exact import _parallel_groups, _row_pass, _scan_subdets, det
 from .intmatrix import DegenerateRankError, IntMatrix, SubmatrixWitness
 
 _MAX_FAST_ROWS = 12
@@ -64,20 +64,23 @@ _MAX_FAST_ROWS = 12
 
 @dataclass(frozen=True)
 class ModularityReport:
+    """The level of a matrix with its witness, and its parallel columns.
+
+    ``delta`` is the largest |det| of a rank-sized submatrix, attained by
+    ``witness``. ``parallel_violations`` lists every pair i < j of parallel
+    columns, and ``pairwise_non_parallel`` says that it is empty.
+    """
+
     delta: int
     witness: SubmatrixWitness
     pairwise_non_parallel: bool
     parallel_violations: tuple[tuple[int, int], ...]
-    satisfies_bound: bool | None = None
 
     def to_json_dict(self) -> dict:
-        d: dict = {"delta": self.delta,
-                   "witness": self.witness.to_json_dict(),
-                   "pairwiseNonParallel": self.pairwise_non_parallel,
-                   "parallelViolations": [list(p) for p in self.parallel_violations]}
-        if self.satisfies_bound is not None:
-            d["satisfiesBound"] = self.satisfies_bound
-        return d
+        return {"delta": self.delta,
+                "witness": self.witness.to_json_dict(),
+                "pairwiseNonParallel": self.pairwise_non_parallel,
+                "parallelViolations": [list(p) for p in self.parallel_violations]}
 
 
 def append_zero_sum_row(m: IntMatrix) -> IntMatrix:
@@ -363,25 +366,31 @@ def is_delta_modular(m: IntMatrix, delta: int
 
 
 def parallel_violations(m: IntMatrix) -> tuple[tuple[int, int], ...]:
-    cols = m.columns()
-    out = []
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            if is_parallel(cols[i], cols[j]):
-                out.append((i, j))
-    return tuple(out)
+    """Every pair i < j of parallel columns, in lexicographic order.
+
+    Two nonzero columns are parallel iff they share a parallel class; a
+    zero column is parallel to every column.
+    """
+    classes, loops = _parallel_groups(m.columns())
+    pairs = set(combinations(loops, 2))
+    for cl in classes:
+        pairs.update(combinations(sorted(cl + loops), 2))
+    return tuple(sorted(pairs))
 
 
-def modularity_level(m: IntMatrix, query: int | None = None) -> ModularityReport:
-    """Exact modularity level with witness and a pairwise-parallelism audit."""
+def modularity_level(m: IntMatrix) -> ModularityReport:
+    """Exact modularity level with witness and a pairwise-parallelism audit.
+
+    The whole scan runs with no bound. To test a bound, ``is_delta_modular``
+    stops at the first minor above it.
+    """
     value, witness = _minor_scan(m, None)
     viol = parallel_violations(m)
     return ModularityReport(
         delta=value,
         witness=witness,
         pairwise_non_parallel=not viol,
-        parallel_violations=viol,
-        satisfies_bound=None if query is None else value <= query)
+        parallel_violations=viol)
 
 
 # -- incremental feasibility for search --------------------------------------

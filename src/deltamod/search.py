@@ -62,6 +62,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb, gcd, prod
+from typing import Iterator
 
 import numpy as np
 
@@ -178,9 +179,16 @@ def _grid_candidates(h: IntMatrix, delta: int) -> tuple[np.ndarray, np.ndarray]:
     return cs[order], ys[order]
 
 
-def _seed_bases(delta: int, r: int, mode: str) -> list[IntMatrix]:
-    """Every Hermite basis for hnf-exhaustive, the unit basis otherwise."""
-    return hermite_bases(delta, r) if mode == "hnf-exhaustive" else [IntMatrix.identity(r)]
+def _seed_bases(delta: int, r: int, mode: str) -> Iterator[IntMatrix]:
+    """Every Hermite basis for hnf-exhaustive, the unit basis otherwise.
+
+    The unit basis is ``hermite_bases``' first and is yielded before the
+    rest are built, so an oversize grid, the same size for every basis, is
+    refused before the bases are enumerated.
+    """
+    yield IntMatrix.identity(r)
+    if mode == "hnf-exhaustive":
+        yield from hermite_bases(delta, r)[1:]
 
 
 def column_universe(delta: int, r: int, mode: str) -> list[tuple[int, ...]]:

@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .exact import max_abs_full_rank_subdet, rank
-from .extensions import (canonical_column, canonical_pair_rows,
+from .extensions import (canonical_column, canonical_rows,
                          clique_extension_max_subdet, corner_det, embed_single,
                          enumerate_pair_extensions, enumerate_single_extensions,
                          refute_triple_extensions)
-from .families import (_partitions_desc, build_A, build_A_lee, expected_count,
-                       partition_count, partitions, sporadic_rank3)
+from .families import (_base_columns, _partitions_desc, build_A, build_A_lee,
+                       expected_count, partition_count, partitions, sporadic_rank3)
 from .intmatrix import IntMatrix
 from .lines import (distinguishing_report, line_length_multiset, nu_formula,
                     recover_partition)
@@ -116,12 +116,7 @@ def _check_zero_sum_roundtrip() -> str:
     rng = random.Random(20240)
     for _ in range(100):
         r = rng.randint(2, 4)
-        cols = [[int(i == k) for i in range(r)] for k in range(r)]
-        for i in range(r):
-            for j in range(i + 1, r):
-                v = [0] * r
-                v[i], v[j] = 1, -1
-                cols.append(v)
+        cols = _base_columns(r)[0]
         for _ in range(rng.randint(1, 4)):
             cols.append([rng.randint(-2, 2) for _ in range(r)])
         m = IntMatrix.from_cols(cols)
@@ -210,8 +205,7 @@ def _distinguish_sweep(pairs) -> str:
 
 def _check_pair_extensions() -> str:
     got = {p.rows for p in enumerate_pair_extensions(3)}
-    want = {canonical_pair_rows([r[0] for r in b], [r[1] for r in b])
-            for b in KNOWN_PAIR_BLOCKS_3}
+    want = {canonical_rows(*zip(*b)) for b in KNOWN_PAIR_BLOCKS_3}
     _require(got == want and len(got) == 8,
              f"got {sorted(got)}, published {sorted(want)}")
     return "8 canonical pairs, exact match with the published blocks"

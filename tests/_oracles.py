@@ -1,12 +1,15 @@
 """Naive reference implementations used only to cross-check the library.
 
 Everything here is deliberately simple: cofactor determinants, exhaustive
-subset enumeration, no shortcuts shared with the code under test.
+subset enumeration, no shortcuts shared with the code under test. The
+parallel references test every pair with ``is_parallel``, where the library
+groups columns by canonical form; ``random_columns_with_parallels`` builds
+inputs for them.
 """
 
 from itertools import combinations
 
-from deltamod.exact import det_cofactor, rank
+from deltamod.exact import det_cofactor, is_parallel, rank
 from deltamod.intmatrix import IntMatrix
 
 
@@ -102,3 +105,30 @@ def naive_long_lines(m: IntMatrix, e: int) -> list[tuple[tuple[int, ...], int]]:
         if points >= 3:
             lines.add((line, points))
     return sorted(lines)
+
+
+def naive_parallel_pairs(m: IntMatrix) -> tuple[tuple[int, int], ...]:
+    """Every pair i < j of parallel columns, by ``is_parallel`` on all pairs."""
+    cols = m.columns()
+    return tuple((i, j) for i, j in combinations(range(m.cols), 2)
+                 if is_parallel(cols[i], cols[j]))
+
+
+def naive_parallel_classes(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """The nonzero columns parallel to each nonzero column, by ``is_parallel``
+    on all pairs; each class once, in order of its first column."""
+    cols = m.columns()
+    nonzero = [j for j in range(m.cols) if any(cols[j])]
+    return tuple(dict.fromkeys(tuple(k for k in nonzero if is_parallel(cols[j], cols[k]))
+                               for j in nonzero))
+
+
+def random_columns_with_parallels(rng) -> IntMatrix:
+    """A few random columns mixed with zero, negated and scaled copies."""
+    r = rng.randint(1, 4)
+    cols = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rng.randint(1, 5))]
+    for _ in range(rng.randint(0, 5)):
+        k = rng.choice((0, -1, 2, -2, 3))
+        cols.append([k * v for v in rng.choice(cols)])
+    rng.shuffle(cols)
+    return IntMatrix.from_cols(cols)

@@ -366,13 +366,3 @@ class TestScanLimit:
         cols += [[rng.randint(-3, 3) for _ in range(12)] for _ in range(40)]
         with pytest.raises(ValueError, match="refusing a minor scan"):
             modularity_level(IntMatrix.from_cols(cols))
-
-
-def test_query_report_round_trip():
-    m = IntMatrix.from_cols([[1, 0], [0, 1], [2, 3]])
-    report = modularity_level(m, query=3)
-    assert report.delta == 3
-    assert report.satisfies_bound is True
-    assert modularity_level(m, query=2).satisfies_bound is False
-    data = report.to_json_dict()
-    assert data["satisfiesBound"] is True and data["delta"] == 3

@@ -6,10 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from deltamod.exact import is_parallel, max_abs_full_rank_subdet
-from deltamod.extensions import (canonical_column,
-                                 canonical_pair_rows, canonical_triple_rows,
+from deltamod.extensions import (canonical_column, canonical_rows,
                                  clique_extension_max_subdet, clique_matrix,
-                                 corner_det, embed_pair, embed_single,
+                                 corner_det, embed_anchored, embed_single,
                                  enumerate_pair_extensions,
                                  enumerate_single_extensions, max_subset_sum,
                                  refute_triple_extensions, _anchored_shapes)
@@ -150,14 +149,13 @@ class TestAnchoredShapes:
 class TestPairEnumeration:
     def test_exactly_published_blocks(self):
         got = {p.rows for p in enumerate_pair_extensions(3)}
-        want = {canonical_pair_rows([r[0] for r in b], [r[1] for r in b])
-                for b in KNOWN_PAIR_BLOCKS_3}
+        want = {canonical_rows(*zip(*b)) for b in KNOWN_PAIR_BLOCKS_3}
         assert got == want
         assert len(got) == 8
 
     def test_specific_pair_present(self):
         got = {p.rows for p in enumerate_pair_extensions(3)}
-        assert canonical_pair_rows([-3, 2], [-2, 1]) in got
+        assert canonical_rows([-3, 2], [-2, 1]) in got
 
     def test_widest_column_has_unique_partner(self):
         hits = []
@@ -172,7 +170,7 @@ class TestPairEnumeration:
 
     def test_pairs_embed_delta_modular(self):
         for p in enumerate_pair_extensions(3):
-            m = embed_pair(p.column(0), p.column(1))
+            m = embed_anchored(p.column(0), p.column(1))
             assert is_delta_modular(m, 3)[0]
             cols = m.columns()
             assert not any(is_parallel(cols[i], cols[j])
@@ -191,11 +189,28 @@ class TestPairEnumeration:
                 assert sorted(outside) in ([1], [-1], [-1, 1])
 
     def test_canonical_pair_rows_quotient(self):
-        rows = canonical_pair_rows([-3, 2, 0], [-2, 1, 0])
-        again = canonical_pair_rows([2, -3], [1, -2])  # permuted, zero row gone
+        rows = canonical_rows([-3, 2, 0], [-2, 1, 0])
+        again = canonical_rows([2, -3], [1, -2])  # permuted, zero row gone
         assert rows == again
-        swapped = canonical_pair_rows([-2, 1], [-3, 2])
+        swapped = canonical_rows([-2, 1], [-3, 2])
         assert rows == swapped
+        # against the pair form: the lesser of the sorted rows and the
+        # sorted swapped rows
+        rng = random.Random(2002)
+        for _ in range(500):
+            t = rng.randint(1, 5)
+            a = [rng.randint(-3, 3) for _ in range(t)]
+            b = [rng.randint(-3, 3) for _ in range(t)]
+            nz = [(x, y) for x, y in zip(a, b) if x or y]
+            want = min(tuple(sorted(nz)), tuple(sorted((y, x) for x, y in nz)))
+            assert canonical_rows(a, b) == want
+
+    def test_embedding_gives_each_column_its_unit_row(self):
+        m = embed_anchored([-1, 2], [1, 0], [0, -1])
+        assert m == clique_matrix(5).hstack(IntMatrix.from_cols(
+            [[-1, 2, 1, 0, 0], [1, 0, 0, 1, 0], [0, -1, 0, 0, 1]]))
+        with pytest.raises(ShapeError):
+            embed_anchored([1, 2], [1])
 
 
 class TestPerturbedCornerBound:
@@ -239,16 +254,13 @@ class TestTriples:
 
     def test_published_first_family_present(self, refutations):
         keys = {t.columns for t in refutations}
-        assert canonical_triple_rows([1, -2, 0], [-2, 1, 0], [-1, 1, -1]) in keys
+        assert canonical_rows([1, -2, 0], [-2, 1, 0], [-1, 1, -1]) in keys
 
     def test_pairwise_compatibility(self, refutations):
         pair_keys = {p.rows for p in enumerate_pair_extensions(3)}
         for t in refutations:
-            a = [r[0] for r in t.columns]
-            b = [r[1] for r in t.columns]
-            c = [r[2] for r in t.columns]
-            for u, v in combinations((a, b, c), 2):
-                assert canonical_pair_rows(u, v) in pair_keys
+            for u, v in combinations(zip(*t.columns), 2):
+                assert canonical_rows(u, v) in pair_keys
 
 
 class TestCornerDet:

@@ -8,7 +8,8 @@ from deltamod.intmatrix import IntMatrix
 from deltamod.lines import (LineMultiset, distinguishing_report,
                             line_length_multiset, long_lines_through, nu_formula,
                             parallel_classes, recover_partition)
-from tests._oracles import naive_long_lines
+from tests._oracles import (naive_long_lines, naive_parallel_classes,
+                            random_columns_with_parallels)
 
 I3D3 = IntMatrix.from_cols(
     [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -1, 0], [1, 0, -1], [0, 1, -1]])
@@ -33,6 +34,14 @@ class TestParallelClasses:
         pc = parallel_classes(IntMatrix.from_cols([[0, 0], [1, 0]]))
         assert pc.loops == (0,)
         assert pc.classes == ((1,),)
+
+    def test_random_against_pairwise_reference(self):
+        rng = random.Random(88)
+        for _ in range(300):
+            m = random_columns_with_parallels(rng)
+            pc = parallel_classes(m)
+            assert pc.classes == naive_parallel_classes(m)
+            assert pc.loops == tuple(j for j, c in enumerate(m.columns()) if not any(c))
 
 
 class TestLongLines:

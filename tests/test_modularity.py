@@ -10,7 +10,8 @@ from deltamod.intmatrix import DegenerateRankError, IntMatrix
 from deltamod.modularity import (IdentityAnchoredChecker, append_zero_sum_row,
                                  drop_last_row, is_delta_modular,
                                  modularity_level, parallel_violations)
-from tests._oracles import naive_max_rank_subdet, naive_max_subdet_all_sizes
+from tests._oracles import (naive_max_rank_subdet, naive_max_subdet_all_sizes,
+                            naive_parallel_pairs, random_columns_with_parallels)
 
 I3D3 = IntMatrix.from_cols(
     [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -1, 0], [1, 0, -1], [0, 1, -1]])
@@ -71,10 +72,6 @@ class TestLevel:
     def test_small_examples(self):
         assert modularity_level(IntMatrix.identity(2)).delta == 1
         assert modularity_level(IntMatrix.from_rows([[2, 0], [0, 1]])).delta == 2
-
-    def test_query(self):
-        assert modularity_level(I3D3, query=1).satisfies_bound is True
-        assert modularity_level(sporadic_rank3(), query=2).satisfies_bound is False
 
     def test_parallel_audit(self):
         m = IntMatrix.from_cols([[1, 0], [2, 0], [0, 1]])
@@ -361,3 +358,11 @@ class TestIncrementalChecker:
 def test_parallel_violations_listing():
     m = IntMatrix.from_cols([[1, 1], [2, 2], [-1, -1], [1, 0]])
     assert parallel_violations(m) == ((0, 1), (0, 2), (1, 2))
+    # a zero column is parallel to every column
+    m = IntMatrix.from_cols([[0, 0], [1, 2], [0, 0], [-2, -4], [1, 0]])
+    assert parallel_violations(m) == ((0, 1), (0, 2), (0, 3), (0, 4),
+                                      (1, 2), (1, 3), (2, 3), (2, 4))
+    rng = random.Random(365)
+    for _ in range(300):
+        m = random_columns_with_parallels(rng)
+        assert parallel_violations(m) == naive_parallel_pairs(m)

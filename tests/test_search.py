@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from deltamod import search
-from deltamod.exact import _pivot_cols, det, is_parallel, primitive_part, rank
+from deltamod.exact import (_pivot_cols, det, hermite_triangularize, is_parallel,
+                            primitive_part, rank)
 from deltamod.families import (build_A, build_A_lee, expected_count, partitions,
                                sporadic_rank3)
 from deltamod.intmatrix import IntMatrix, ShapeError
@@ -96,6 +97,32 @@ class TestHermiteBases:
             assert d <= 3
             for j in range(3):
                 assert primitive_part(h.column(j)) == h.column(j)
+
+    def test_every_class_is_covered(self):
+        # a basis with primitive columns and 0 < |det| <= delta is
+        # unimodularly equivalent to a Hermite basis: what makes
+        # hnf-exhaustive exact
+        rng = random.Random(7)
+        hermite = {}
+        checked = 0
+        while checked < 300:
+            r = rng.randint(2, 4)
+            b = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(r)]
+                                     for _ in range(r)])
+            d = abs(det(b))
+            if not 0 < d <= 5 or any(primitive_part(c) != c for c in b.columns()):
+                continue
+            delta = rng.randint(d, 5)
+            if (delta, r) not in hermite:
+                hermite[delta, r] = {h.entries for h in hermite_bases(delta, r)}
+            assert hermite_triangularize(b, range(r))[0].entries in hermite[delta, r]
+            checked += 1
+
+    @pytest.mark.parametrize("delta, r", [(1, 3), (2, 3), (3, 2), (4, 3), (5, 2)])
+    def test_search_takes_the_bases_in_order_unit_basis_first(self, delta, r):
+        bases = hermite_bases(delta, r)
+        assert bases[0] == IntMatrix.identity(r)
+        assert list(search._seed_bases(delta, r, "hnf-exhaustive")) == bases
 
 
 class TestSearchValues:
@@ -293,6 +320,17 @@ class TestCertificates:
         # it is 1.5 GB
         with pytest.raises(ValueError, match=r"\[-2, 2\]\^10 needs 1.5 GiB"):
             max_columns_search(SearchConfig(2, 10, "identity-anchored"))
+
+    def test_oversize_hnf_grid_is_refused_before_the_bases(self, monkeypatch):
+        # (2, 16) has 65,520 Hermite bases; every one has the same grid size
+        def enumerate_bases(delta, r):
+            raise AssertionError("the Hermite bases were enumerated")
+
+        monkeypatch.setattr(search, "hermite_bases", enumerate_bases)
+        with pytest.raises(ValueError, match=r"\[-2, 2\]\^16 needs"):
+            max_columns_search(SearchConfig(2, 16, "hnf-exhaustive"))
+        with pytest.raises(ValueError, match=r"\[-2, 2\]\^16 needs"):
+            column_universe(2, 16, "hnf-exhaustive")
 
     def test_grid_refusal_is_at_the_scan_byte_limit(self, monkeypatch):
         # the (2, 3) grid is 125 vectors of 3 int64 entries, 3000 bytes, and
