@@ -4,7 +4,8 @@
 Runs the exhaustive searches for the known exact values and the greedy
 extension of the sporadic rank-3 matrix, printing one row per experiment.
 Each row's expected (count, optimal, nodes) is in the ``EXPECTED`` table
-below; the script exits 1 if any row differs from it. The counts are:
+below; the script exits 1 if any row differs from it. Each row's wall time
+goes to stderr, so stdout is the same on every run. The counts are:
 
     bound 1, rank 2, 3 and 4: 3, 6 and 10 (Heller's C(r+1, 2))
     bound 2, rank 3, identity class and all classes: 9
@@ -41,7 +42,7 @@ def main() -> int:
     ap.add_argument("--time-limit", type=float, default=1800.0)
     args = ap.parse_args()
 
-    print(f"{'experiment':42s} {'count':>5s} {'optimal':>8s} {'nodes':>9s} {'sec':>7s}")
+    print(f"{'experiment':42s} {'count':>5s} {'optimal':>8s} {'nodes':>9s}")
     failed = 0
     for name, (delta, r, mode), expected in EXPECTED:
         seed = sporadic_rank3() if mode == "greedy-seeded" else None
@@ -54,7 +55,8 @@ def main() -> int:
         mark = "" if got == expected else f"  MISMATCH, expected {expected}"
         failed += got != expected
         print(f"{name:42s} {cert.best_count:5d} {str(cert.optimal):>8s} "
-              f"{cert.nodes_explored:9d} {dt:7.2f}{mark}")
+              f"{cert.nodes_explored:9d}{mark}")
+        print(f"{name}: {dt:.2f} s", file=sys.stderr)
     return 1 if failed else 0
 
 

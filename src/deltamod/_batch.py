@@ -1,22 +1,27 @@
-"""The one minor kernel: a colex Laplace step over column subsets.
+"""A colex Laplace step over column subsets: the general scan's minor kernel.
 
-Every scan over subdeterminants expands its minors here, one row at a time.
-A state holds, for each k-subset S of n columns in colexicographic order,
-the determinant of some fixed k rows restricted to S. One step puts a new
-row on top of those rows:
+The general subdeterminant scan (``exact._scan_subdets``) expands its
+minors here, one row at a time. The identity-anchored scan builds its own
+store of plain minors (``modularity._SubsetScan``) and shares only the
+dtype choice and the size limit of this module. A state holds, for each
+k-subset S of n columns in colexicographic order, the determinant of some
+fixed k rows restricted to S. One step puts a new row on top of those
+rows:
 
     state'[S] = sum over p of (-1)**p * row[S_p] * state[S minus S_p]
 
 so all minors of a level are shared by every subset of the next. Leading
 batch axes run several row stacks at once: ``batched_det`` and the pair
 filter of ``search._PairRows``, which takes the 2 x 2 minors of a batch of
-candidate pairs. The subdeterminant scans run one row stack at a time.
+candidate pairs. The general scan runs one row stack at a time.
 
 Arrays are int64 when ``fits_int64`` certifies that no minor can overflow,
 and ``dtype=object`` (exact Python ints) otherwise; the step is the same
 code for both. A scan whose largest level would need more than
 ``MAX_SCAN_BYTES`` of index tables, states and step temporaries is refused
-with a ``ValueError`` before any work starts.
+with a ``ValueError`` before any work starts (``check_scan_size``; the
+identity-anchored scan sizes its store itself and refuses through
+``check_scan_entries``).
 """
 
 from __future__ import annotations
@@ -104,6 +109,16 @@ def check_scan_size(n: int, depth: int, dtype: np.dtype) -> None:
     item = _ITEM_BYTES[np.dtype(dtype)]
     need = max((16 * k * comb(n, k) + item * (comb(n, k - 1) + 4 * comb(n, k))
                 for k in range(1, depth + 1)), default=0)
+    _refuse_above_limit(need, depth, n)
+
+
+def check_scan_entries(entries: int, dtype: np.dtype, depth: int, n: int) -> None:
+    """Refuse a scan of size ``depth`` over n columns whose arrays would
+    hold more than ``MAX_SCAN_BYTES`` in ``entries`` entries of ``dtype``."""
+    _refuse_above_limit(_ITEM_BYTES[np.dtype(dtype)] * entries, depth, n)
+
+
+def _refuse_above_limit(need: int, depth: int, n: int) -> None:
     if need > MAX_SCAN_BYTES:
         raise ValueError(
             f"refusing a minor scan of size {depth} over {n} columns: it needs "

@@ -87,7 +87,7 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.entries))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
         ent = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)

@@ -14,9 +14,12 @@ strategies are dispatched on matrix structure:
   determinant of row-sums of the c_k over the forest components. The level
   is therefore the maximum of |det[(sum over S_a of c_b)]| over families of
   disjoint, nonempty, edge-connected row subsets S_1..S_t and t-subsets of
-  general columns. Each added part is one step of the shared minor kernel
-  in ``_batch``, in int64 when its growth guard allows and over exact
-  Python ints otherwise.
+  general columns. Each row of such a matrix sums rows of X, the block of
+  general columns, so by multilinearity (the Cauchy-Binet formula) its
+  minors are signed sums of plain minors det X[R, S] over the transversals
+  R of the parts, one row from each. ``_SubsetScan`` computes each plain
+  minor once per scan and shares it among every family, in int64 when the
+  growth guard of ``_batch`` allows and over exact Python ints otherwise.
 
 * general: brute force over rank-sized subsets factored through a column
   basis: one kernel pass over row subsets, one over column subsets, first
@@ -52,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -60,6 +64,8 @@ from .exact import _parallel_groups, _row_pass, _scan_subdets, det
 from .intmatrix import DegenerateRankError, IntMatrix, SubmatrixWitness
 
 _MAX_FAST_ROWS = 12
+# entries of the terms of one batch of minor-store rows
+_BATCH_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,7 @@ def _split_identity_anchored(m: IntMatrix) -> _Split | None:
     unit_for_row: dict[int, int] = {}
     edge_for_pair: dict[tuple[int, int], int] = {}
     extras: list[int] = []
-    for j in range(m.cols):
-        col = m.column(j)
+    for j, col in enumerate(m.columns()):
         if not any(col):
             continue
         kind, data = _classify(col)
@@ -242,30 +247,164 @@ class _ScanHit(Exception):
         self.combo = combo
 
 
-class _SubsetScan:
-    """DFS over families of disjoint connected parts with a shared-minor DP.
+@lru_cache(maxsize=4096)
+def _row_set(mask: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(colex rank, rows, rank without each row) of the row set ``mask``.
 
-    The state at depth L holds, for every L-subset of general columns in
-    colex order, the determinant of the collapsed L x L matrix given by the
-    current part masks. Extending the family by one part is a single step
-    of the minor kernel, so minors are shared across every family with a
-    common prefix.
+    Ordering the t-subsets of rows by mask value is their colex order, so
+    the rank is sum over p of C(row p, p + 1) and needs no row count.
+    """
+    rows = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    def rank(rs):
+        return sum(comb(i, p + 1) for p, i in enumerate(rs))
+
+    return rank(rows), rows, tuple(rank(rows[:p] + rows[p + 1:]) for p in range(len(rows)))
+
+
+@lru_cache(maxsize=64)
+def _blocks(nx: int, t: int):
+    """The layout of level t of the minor store over nx columns.
+
+    The colex t-subsets whose largest column is c form one block, c = t-1
+    .. nx-1, of width C(c, t-1); without c they are the first C(c, t-1)
+    subsets of size t-1. Returns (c, start, width) of each block; the rows
+    of one batch, as many as keep the batch's t terms per row within
+    ``_BATCH_ENTRIES`` entries, else one; the signs (-1)**(t-1-p) of the
+    terms; and, for a level built in batches, the block widths and the rest
+    row, arange(width) over the blocks: the rank of each subset without c.
+    """
+    widths = [comb(c, t - 1) for c in range(t - 1, nx)]
+    starts = [sum(widths[:k]) for k in range(len(widths))]
+    spans = tuple(zip(range(t - 1, nx), starts, widths))
+    signs = np.array([(-1) ** (t - 1 - p) for p in range(t)], dtype=np.int64)
+    step = _BATCH_ENTRIES // (t * comb(nx, t))
+    if not step:
+        return spans, 1, signs, None, None
+    rest = np.concatenate([np.arange(w, dtype=np.intp) for w in widths])
+    return spans, step, signs, np.array(widths, dtype=np.intp), rest
+
+
+@lru_cache(maxsize=16)
+def _row_pairs(r: int) -> tuple[int, ...]:
+    """The 2-subsets of r rows as masks, in colex order."""
+    return tuple(1 << i | 1 << j for j in range(r) for i in range(j))
+
+
+@lru_cache(maxsize=64)
+def _store_layout(r: int, nx: int, depth: int):
+    """(shapes of levels 2..depth, gather room, worst-case entries) of the
+    minor store of a scan of r rows, nx general columns and families of
+    up to ``depth`` parts.
+
+    The store buffer holds every level and the room for the t rows below
+    a row of a level built one row at a time. Its worst case adds X, the
+    rest rows of ``_blocks`` and the largest batch of ``_build_level``,
+    which holds its rows one level down and twice its terms.
+    """
+    shapes = tuple((comb(r, t), comb(nx, t)) for t in range(2, depth + 1))
+    room = extra = batch = 0
+    for t, (rows, size) in enumerate(shapes, 2):
+        below = comb(nx, t - 1)
+        _, step, _, _, rest = _blocks(nx, t)
+        if rest is None:
+            room = max(room, t * below)
+        else:
+            extra += size
+            batch = max(batch, min(rows, step) * t * (below + 2 * size))
+    return shapes, room, r * nx + sum(a * b for a, b in shapes) + room + extra + batch
+
+
+# The int64 store of the last finished scan, which the next scan reuses, so
+# that a run of scans writes to pages that it already has: a fresh store
+# costs a page fault for every page that it touches. A store of more than
+# _SPARE_ENTRIES entries (64 MiB) is not kept.
+_spare: list[np.ndarray] = []
+_SPARE_ENTRIES = 1 << 23
+
+
+def _take_buffer(entries: int, dtype: np.dtype) -> np.ndarray:
+    """The spare int64 store if it is large enough, else a new buffer."""
+    if dtype == np.int64:
+        try:
+            spare = _spare.pop()
+        except IndexError:
+            pass
+        else:
+            if spare.size >= entries:
+                return spare
+            del spare  # free it before allocating
+    return np.empty(max(entries, 1), dtype=dtype)
+
+
+def _give_buffer(buf: np.ndarray) -> None:
+    if buf.dtype == np.int64 and buf.size <= _SPARE_ENTRIES:
+        _spare[:] = [buf]
+
+
+class _SubsetScan:
+    """DFS over families of disjoint connected parts, by Cauchy-Binet.
+
+    A family (M_1..M_t) stands for the t x t matrices whose row a is the
+    sum of the rows M_a of X, the r x nx block of general columns, on a
+    t-subset S of them. Each row is linear in the rows it sums, so the
+    minor on S is a signed sum over the transversals R (one row of each
+    part) of the plain minor det X[R, S]: the sign is that of the rows of R
+    taken in path order, and appending row i to R flips it when an odd
+    number of rows of R lie above i. The state of a family, its minors on
+    every t-subset S in colex order, is therefore a signed sum of rows of
+    the store ``levels[t]``, where row rank(R) holds det X[R, S] for every
+    S. A store row is built on first request, after the missing rows of
+    its subsets, level by level, by expanding along the top column c of
+    each colex block of S (``_blocks``):
+
+        det X[R, S] = sum over p of (-1)**(t-1-p) * X[R_p, c] * det X[R - R_p, S - c]
+
+    whose second factors are a prefix of the row of R - R_p one level down.
+    A small level is built in batches of rows, all blocks at once through
+    the rest row (level 2 whole, if one batch holds it); a large one row
+    by row, one matrix product per block. The levels are views of one
+    buffer, about 21 MB for 7 rows and 24 columns, which the scan hands to
+    the next one when it ends (``release``).
+
+    Every value the scan forms, a term or partial sum of that expansion or
+    of a transversal sum, is bounded by t! * B**t for B the largest l1 norm
+    of a column of X, since the parts are disjoint. That is the bound that
+    ``_batch.scan_dtype(max_depth, B)`` certifies, so one code path serves
+    int64 and exact Python ints.
     """
 
-    def __init__(self, sums: np.ndarray, conn, nx: int, bound: int | None):
-        self.sums = sums
+    def __init__(self, x: np.ndarray, conn, bound: int | None, max_depth: int):
+        self.x = x
         self.conn = conn
-        self.nx = nx
+        self.nx = nx = x.shape[1]
         self.bound = bound
+        self.max_depth = max_depth
         self.best = 1
         self.best_at: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
         self.path: list[int] = []
+        # levels[t][rank(R)] = det X[R, S] over the t-subsets S; level 1 is X.
+        # Levels 2.. and the gather room are views of one buffer, whose rows
+        # are written before they are read.
+        shapes, room, _ = _store_layout(x.shape[0], nx, max_depth)
+        self.buffer = buf = _take_buffer(sum(a * b for a, b in shapes) + room, x.dtype)
+        self.levels = [None, x]
+        start = 0
+        for a, b in shapes:
+            self.levels.append(buf[start:start + a * b].reshape(a, b))
+            start += a * b
+        self.room = buf[start:start + room]
+        self.built = {1 << i for i in range(x.shape[0])}
 
-    def run(self, max_depth: int) -> None:
-        self.max_depth = max_depth
-        self._rec(0, 0, np.ones(1, dtype=self.sums.dtype))
+    def run(self) -> None:
+        self._rec(0, 0, [(0, 1)])
 
-    def _rec(self, start: int, used: int, state: np.ndarray) -> None:
+    def release(self) -> None:
+        """Hand the store over to the next scan; this one is done."""
+        _give_buffer(self.buffer)
+        self.buffer = self.levels = self.room = None
+
+    def _rec(self, start: int, used: int, trans: list[tuple[int, int]]) -> None:
         depth = len(self.path)
         if depth == self.max_depth:
             return
@@ -274,15 +413,65 @@ class _SubsetScan:
             if mask & used:
                 continue
             self.path.append(mask)
-            child = self._extend(state, mask, depth)
+            child = self._extend(trans, mask, depth)
             if child is not None:
-                self._inspect(child, depth + 1)
-                self._rec(idx + 1, used | mask, child)
+                self._inspect(child[1], depth + 1)
+                self._rec(idx + 1, used | mask, child[0])
             self.path.pop()
 
-    def _extend(self, state: np.ndarray, mask: int, depth: int) -> np.ndarray | None:
-        acc = _batch.laplace_step(self.sums[mask], state, self.nx, depth + 1)
-        return acc if acc.any() else None
+    def _extend(self, trans: list[tuple[int, int]], mask: int, depth: int
+                ) -> tuple[list[tuple[int, int]], np.ndarray] | None:
+        """The transversals of the family extended by the part ``mask``
+        and its minors, the signed sum of their store rows; None when every
+        minor is zero."""
+        child = [(rs | 1 << i, -s if (rs >> i).bit_count() & 1 else s)
+                 for rs, s in trans for i in _row_set(mask)[1]]
+        missing = [rs for rs, _ in child if rs not in self.built]
+        if missing:
+            self._build(missing, depth + 1)
+        level = self.levels[depth + 1]
+        (rs, first), *others = child
+        values = level[_row_set(rs)[0]]
+        if others:
+            values = values.copy()  # signs relative to the first leave |values| alone
+            for rs, s in others:
+                if s == first:
+                    values += level[_row_set(rs)[0]]
+                else:
+                    values -= level[_row_set(rs)[0]]
+        return (child, values) if values.any() else None
+
+    def _build(self, masks: list[int], t: int) -> None:
+        """Build the store rows of ``masks`` and of their missing subsets."""
+        todo = [masks]
+        for _ in range(t, 2, -1):
+            subs = {mk & ~(1 << i) for mk in todo[-1] for i in _row_set(mk)[1]}
+            todo.append([mk for mk in subs if mk not in self.built])
+        for k, level_masks in zip(range(t - len(todo) + 1, t + 1), reversed(todo)):
+            if level_masks:
+                self._build_level(level_masks, k)
+
+    def _build_level(self, masks: list[int], t: int) -> None:
+        x, r, nx = self.x, self.x.shape[0], self.nx
+        spans, step, signs, widths, rest = _blocks(nx, t)
+        if t == 2 and comb(r, 2) <= step:  # all pairs in one batch: the rows below are X
+            masks = _row_pairs(r)
+        level, below = self.levels[t], self.levels[t - 1]
+        for lo in range(0, len(masks), step):
+            meta = [_row_set(mk) for mk in masks[lo:lo + step]]
+            # coef[a, p, c] = +-X[row p of R_a, c], subs[a, p] = the row of R_a - row p
+            coef = x[[m[1] for m in meta]] * signs[:, None]
+            if rest is not None:  # all blocks at once
+                terms = np.repeat(coef[:, :, t - 1:], widths, axis=2)
+                terms *= below[[m[2] for m in meta]].take(rest, axis=2)
+                level[[m[0] for m in meta]] = terms.sum(axis=1)
+            else:  # one row, block by block: row[block c] = coef[:, c] @ subs[:, :width]
+                row = level[meta[0][0]]
+                subs = self.room[:t * below.shape[1]].reshape(t, -1)
+                below.take(meta[0][2], axis=0, out=subs)
+                for c, start, width in spans:
+                    np.matmul(coef[0, :, c], subs[:, :width], out=row[start:start + width])
+        self.built.update(masks)
 
     def _inspect(self, values: np.ndarray, k: int) -> None:
         fam = tuple(self.path)
@@ -304,21 +493,22 @@ def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
     r = m.rows
     value, hit = 1, ((), ())  # the empty family: the unit basis itself
     if split.extras:
-        extras_cols = [m.column(j) for j in split.extras]
+        cols = m.columns()
+        extras_cols = [cols[j] for j in split.extras]
         nx = len(extras_cols)
         max_depth = min(r, nx)
-        col_bound = max(sum(abs(v) for v in col) for col in extras_cols)
+        col_bound = max(sum(map(abs, col)) for col in extras_cols)
         dtype = _batch.scan_dtype(max_depth, col_bound)
-        _batch.check_scan_size(nx, max_depth, dtype)
-        # uncached: at 12 rows the cache would hold 4096 sums per column
-        sums = np.ascontiguousarray(np.array(
-            [_mask_sums.__wrapped__(col, r) for col in extras_cols], dtype=dtype).T)
-        scan = _SubsetScan(sums, _connected_masks(r, split.adj), nx, bound)
+        _batch.check_scan_entries(_store_layout(r, nx, max_depth)[2], dtype, max_depth, nx)
+        x = np.ascontiguousarray(np.array(extras_cols, dtype=dtype).T)
+        scan = _SubsetScan(x, _connected_masks(r, split.adj), bound, max_depth)
         try:
-            scan.run(max_depth)
+            scan.run()
             value, hit = scan.best, scan.best_at
         except _ScanHit as h:
             value, hit = h.value, (h.family, h.combo)
+        finally:
+            scan.release()
     rows_w, cols_w = _witness_cols(*hit, split, r)
     wit = SubmatrixWitness(rows_w, cols_w, det(m.submatrix(rows_w, cols_w)))
     if abs(wit.det_value) != value:

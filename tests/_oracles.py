@@ -132,3 +132,113 @@ def random_columns_with_parallels(rng) -> IntMatrix:
         cols.append([k * v for v in rng.choice(cols)])
     rng.shuffle(cols)
     return IntMatrix.from_cols(cols)
+
+
+def naive_anchored_split(m: IntMatrix):
+    """(unit column of each row, edge columns by row pair, extra columns)
+    of a matrix with a unit column for every row, or None without one.
+
+    The first +-e_i serves row i and the first +-(e_i - e_j) the pair
+    {i, j}; any other nonzero column is an extra, in column order.
+    """
+    units: dict[int, int] = {}
+    edges: dict[tuple[int, int], int] = {}
+    extras: list[int] = []
+    for j, col in enumerate(m.columns()):
+        nz = [i for i, v in enumerate(col) if v]
+        vals = sorted(col[i] for i in nz)
+        if len(nz) == 1 and abs(vals[0]) == 1:
+            units.setdefault(nz[0], j)
+        elif vals == [-1, 1]:
+            edges.setdefault((nz[0], nz[1]), j)
+        elif nz:
+            extras.append(j)
+    if len(units) < m.rows:
+        return None
+    return units, edges, extras
+
+
+def _naive_components(rows, pairs) -> list[frozenset]:
+    """Connected components of the graph on ``rows`` with edges ``pairs``."""
+    comps = [{i} for i in rows]
+    for i, j in pairs:
+        a = next(c for c in comps if i in c)
+        b = next(c for c in comps if j in c)
+        if a is not b:
+            a |= b
+            comps.remove(b)
+    return [frozenset(c) for c in comps]
+
+
+def naive_identity_scan(m: IntMatrix):
+    """Every collapsed minor of an identity-anchored matrix in scan order.
+
+    A family is a tuple of pairwise disjoint row sets (as bitmasks), each
+    connected by the edge columns, taken from the connected row sets in
+    increasing mask order and extended depth first; a family is listed
+    before its extensions. For each family of t parts, the t-subsets S of
+    the extras follow in colex order, each with |det| of the t x t matrix
+    whose entry (a, b) sums extra S_b over the rows of part a. A family
+    whose minors are all zero is not extended: every minor of an extension
+    expands along its rows. Returns each family as (parts, [(S, |det|), ...]).
+    """
+    units, edges, extras = naive_anchored_split(m)
+    r, nx = m.rows, len(extras)
+    cols = m.columns()
+
+    def inside(mask):
+        return [i for i in range(r) if mask >> i & 1]
+
+    conn = [mask for mask in range(1, 1 << r)
+            if len(_naive_components(inside(mask), [(i, j) for i, j in edges
+                                                    if {i, j} <= set(inside(mask))])) == 1]
+    out = []
+
+    def visit(start: int, used: int, parts: tuple) -> None:
+        if len(parts) == min(r, nx):
+            return
+        for idx in range(start, len(conn)):
+            mask = conn[idx]
+            if mask & used:
+                continue
+            fam = parts + (mask,)
+            t = len(fam)
+            minors = []
+            for s in sorted(combinations(range(nx), t), key=lambda s: s[::-1]):
+                block = [[sum(cols[extras[k]][i] for i in range(r) if part >> i & 1) for k in s]
+                         for part in fam]
+                minors.append((s, abs(det_cofactor(IntMatrix.from_rows(block)))))
+            out.append((fam, minors))
+            if any(d for _, d in minors):
+                visit(idx + 1, used | mask, fam)
+
+    visit(0, 0, ())
+    return out
+
+
+def naive_identity_witness(scan, bound: int | None = None):
+    """(value, parts, S) of the scan's witness: with ``bound``, the first
+    minor above it (None if there is none); else the first minor that is
+    strictly larger than every earlier one and than 1, or (1, (), ()), the
+    unit basis, when no minor exceeds 1."""
+    best = (1, (), ())
+    for fam, minors in scan:
+        for s, d in minors:
+            if bound is not None and d > bound:
+                return d, fam, s
+            if d > best[0]:
+                best = (d, fam, s)
+    return None if bound is not None else best
+
+
+def naive_witness_parts(m: IntMatrix, cols) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(parts, S) that a witness column set of an identity-anchored scan
+    stands for: its edge columns span the parts with two or more rows, a
+    row with neither a unit column nor an edge is a part of its own, and S
+    lists the positions of its extras among all extras."""
+    units, edges, extras = naive_anchored_split(m)
+    unit_rows = {i for i, j in units.items() if j in cols}
+    pairs = [p for p, j in edges.items() if j in cols]
+    comps = _naive_components([i for i in range(m.rows) if i not in unit_rows], pairs)
+    parts = sorted(sum(1 << i for i in c) for c in comps)
+    return tuple(parts), tuple(k for k, j in enumerate(extras) if j in cols)

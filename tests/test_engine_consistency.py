@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from deltamod import exact, modularity
+from deltamod import _batch, exact, modularity
 from deltamod._batch import batched_det, colex_tables, colex_unrank, fits_int64
 from deltamod.cli import run
 from deltamod.exact import det, det_cofactor, max_abs_full_rank_subdet, rank
@@ -20,8 +20,9 @@ from deltamod.intmatrix import IntMatrix
 from deltamod.modularity import (_MAX_FAST_ROWS, _connected_masks, _split_identity_anchored,
                                  append_zero_sum_row, drop_last_row, is_delta_modular,
                                  modularity_level)
-from tests._oracles import (naive_first_max_rank_subdet, naive_max_rank_subdet,
-                            naive_row_basis)
+from tests._oracles import (naive_anchored_split, naive_first_max_rank_subdet,
+                            naive_identity_scan, naive_identity_witness,
+                            naive_max_rank_subdet, naive_row_basis, naive_witness_parts)
 
 
 def anchored_row_basis(m):
@@ -169,6 +170,67 @@ class TestDecisionWitnessOrder:
             m = IntMatrix.from_rows(ent)
             if rank(m) == r:
                 checked += self._matches_naive_first_hit(m)
+
+    @staticmethod
+    def _matches_naive_identity_scan(m):
+        """The level, the maximum's witness and the first violator of every
+        bound, against the scan order of ``naive_identity_scan``."""
+        scan = naive_identity_scan(m)
+        value, parts, s = naive_identity_witness(scan)
+        report = modularity_level(m)
+        wit = report.witness
+        assert report.delta == abs(wit.det_value) == value
+        assert wit.row_indices == tuple(range(m.rows))
+        assert naive_witness_parts(m, wit.col_indices) == (parts, s)
+        # the first violator changes only where the bound passes a minor,
+        # so the distinct minors below the level (and 1) cover every bound
+        bounds = {1} | {d for _, minors in scan for _, d in minors if 0 < d < value}
+        for bound in sorted(bounds) + [value]:
+            ok, hit = is_delta_modular(m, bound)
+            want = naive_identity_witness(scan, bound)
+            assert ok == (want is None)
+            if want is not None:
+                assert abs(hit.det_value) == want[0]
+                assert hit.row_indices == tuple(range(m.rows))
+                assert naive_witness_parts(m, hit.col_indices) == want[1:]
+
+    @staticmethod
+    def _anchored_inputs(rng, count):
+        """Seeded anchored inputs up to 5 rows, then the first third again
+        with every extra scaled by 2**40 (the exact-int path), then
+        disconnected edge graphs with several extras."""
+        mats = [adversarial_matrix(rng) for _ in range(count)]
+        for m in mats[:count // 3]:
+            extras = naive_anchored_split(m)[2]
+            mats.append(IntMatrix.from_cols([[v << 40 for v in c] if j in extras else list(c)
+                                             for j, c in enumerate(m.columns())]))
+        for _ in range(count // 4):
+            r = rng.randint(4, 5)
+            cols = [[int(i == k) for i in range(r)] for k in range(r)]
+            for i, j in [(0, 1), (2, 3), (3, 4)][:r - 2]:
+                cols.append([1 if k == i else -1 if k == j else 0 for k in range(r)])
+            cols += [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rng.randint(1, 5))]
+            rng.shuffle(cols)
+            mats.append(IntMatrix.from_cols(cols))
+        return mats
+
+    def test_identity_scan_matches_naive_scan_order(self):
+        for m in self._anchored_inputs(random.Random(4040), 120):
+            self._matches_naive_identity_scan(m)
+
+    def test_identity_scan_row_by_row_matches_naive_scan_order(self, monkeypatch):
+        # with no room for a batch, every store level is built one row at a
+        # time, one matrix product per block
+        caches = (modularity._blocks, modularity._store_layout)
+        monkeypatch.setattr(modularity, "_BATCH_ENTRIES", 0)
+        for f in caches:
+            f.cache_clear()
+        try:
+            for m in self._anchored_inputs(random.Random(4041), 45):
+                self._matches_naive_identity_scan(m)
+        finally:
+            for f in caches:
+                f.cache_clear()
 
     def test_decision_and_measure_agree_on_flag(self):
         rng = random.Random(1122)
@@ -366,3 +428,16 @@ class TestScanLimit:
         cols += [[rng.randint(-3, 3) for _ in range(12)] for _ in range(40)]
         with pytest.raises(ValueError, match="refusing a minor scan"):
             modularity_level(IntMatrix.from_cols(cols))
+
+    def test_identity_refusal_is_at_the_scan_byte_limit(self, monkeypatch):
+        # 3 rows and 4 extras: the store holds 3*4 + 3*6 + 1*4 = 34 minors,
+        # the rest rows of levels 2 and 3 take 6 + 4 entries, and the larger
+        # batch is level 2's three rows, 3 * 2 * (4 + 2*6) = 96 entries:
+        # 140 int64 entries, 1120 bytes
+        m = IntMatrix.from_cols([[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, 1],
+                                 [1, 2, 1], [1, 1, 2], [1, -1, 3]])
+        monkeypatch.setattr(_batch, "MAX_SCAN_BYTES", 1120)
+        assert modularity_level(m).delta == naive_max_rank_subdet(m)
+        monkeypatch.setattr(_batch, "MAX_SCAN_BYTES", 1119)
+        with pytest.raises(ValueError, match="refusing a minor scan of size 3 over 4"):
+            modularity_level(m)
