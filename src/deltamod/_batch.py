@@ -3,10 +3,10 @@
 The general subdeterminant scan (``exact._scan_subdets``) expands its
 minors here, one row at a time. The identity-anchored scan builds its own
 store of plain minors (``modularity._SubsetScan``) and shares only the
-dtype choice and the size limit of this module. A state holds, for each
-k-subset S of n columns in colexicographic order, the determinant of some
-fixed k rows restricted to S. One step puts a new row on top of those
-rows:
+int64-or-object dtype choice and the size limit of this module. A state
+holds, for each k-subset S of n columns in colexicographic order, the
+determinant of some fixed k rows restricted to S. One step puts a new row
+on top of those rows:
 
     state'[S] = sum over p of (-1)**p * row[S_p] * state[S minus S_p]
 
@@ -17,11 +17,13 @@ candidate pairs. The general scan runs one row stack at a time.
 
 Arrays are int64 when ``fits_int64`` certifies that no minor can overflow,
 and ``dtype=object`` (exact Python ints) otherwise; the step is the same
-code for both. A scan whose largest level would need more than
-``MAX_SCAN_BYTES`` of index tables, states and step temporaries is refused
-with a ``ValueError`` before any work starts (``check_scan_size``; the
-identity-anchored scan sizes its store itself and refuses through
-``check_scan_entries``).
+code for both. The identity-anchored store has three dtype tiers: int32
+when the bound t! * B**t of its values (``modularity._SubsetScan``) is
+below 2**31, else int64 or object as above. A scan whose largest level
+would need more than ``MAX_SCAN_BYTES`` of index tables, states and step
+temporaries is refused with a ``ValueError`` before any work starts
+(``check_scan_size``; the identity-anchored scan sizes its store itself,
+in any of the three dtypes, and refuses through ``check_scan_entries``).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 
 _INT64_HEADROOM = 2 ** 62
 MAX_SCAN_BYTES = 1 << 30
-# One state entry: an int64, or an object pointer plus a small Python int.
-_ITEM_BYTES = {np.dtype(np.int64): 8, np.dtype(object): 40}
+# One state entry: an int32 or int64, or an object pointer plus a small Python int.
+_ITEM_BYTES = {np.dtype(np.int32): 4, np.dtype(np.int64): 8, np.dtype(object): 40}
 
 # k -> (combos, prev_rank) for the largest column count built so far; the
 # tables for fewer columns are prefixes of these.

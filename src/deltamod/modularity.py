@@ -18,8 +18,9 @@ strategies are dispatched on matrix structure:
   general columns, so by multilinearity (the Cauchy-Binet formula) its
   minors are signed sums of plain minors det X[R, S] over the transversals
   R of the parts, one row from each. ``_SubsetScan`` computes each plain
-  minor once per scan and shares it among every family, in int64 when the
-  growth guard of ``_batch`` allows and over exact Python ints otherwise.
+  minor once per scan and shares it among every family, in int32 or int64
+  when its bound on every value allows and over exact Python ints
+  otherwise (``_store_dtype``).
 
 * general: brute force over rank-sized subsets factored through a column
   basis: one kernel pass over row subsets, one over column subsets, first
@@ -52,10 +53,11 @@ brute-force path in the test suite on randomized inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -270,19 +272,25 @@ def _blocks(nx: int, t: int):
     .. nx-1, of width C(c, t-1); without c they are the first C(c, t-1)
     subsets of size t-1. Returns (c, start, width) of each block; the rows
     of one batch, as many as keep the batch's t terms per row within
-    ``_BATCH_ENTRIES`` entries, else one; the signs (-1)**(t-1-p) of the
-    terms; and, for a level built in batches, the block widths and the rest
-    row, arange(width) over the blocks: the rank of each subset without c.
+    ``_BATCH_ENTRIES`` entries, else one; and, for a level built in
+    batches, the block widths and the rest row, arange(width) over the
+    blocks: the rank of each subset without c.
     """
     widths = [comb(c, t - 1) for c in range(t - 1, nx)]
     starts = [sum(widths[:k]) for k in range(len(widths))]
     spans = tuple(zip(range(t - 1, nx), starts, widths))
-    signs = np.array([(-1) ** (t - 1 - p) for p in range(t)], dtype=np.int64)
     step = _BATCH_ENTRIES // (t * comb(nx, t))
     if not step:
-        return spans, 1, signs, None, None
+        return spans, 1, None, None
     rest = np.concatenate([np.arange(w, dtype=np.intp) for w in widths])
-    return spans, step, signs, np.array(widths, dtype=np.intp), rest
+    return spans, step, np.array(widths, dtype=np.intp), rest
+
+
+@lru_cache(maxsize=64)
+def _signs(t: int, dtype: np.dtype) -> np.ndarray:
+    """The signs (-1)**(t-1-p) of the terms of level t, in the store's
+    dtype, so that multiplying by them keeps the store's width."""
+    return np.array([(-1) ** (t - 1 - p) for p in range(t)], dtype=dtype)
 
 
 @lru_cache(maxsize=16)
@@ -293,20 +301,23 @@ def _row_pairs(r: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=64)
 def _store_layout(r: int, nx: int, depth: int):
-    """(shapes of levels 2..depth, gather room, worst-case entries) of the
-    minor store of a scan of r rows, nx general columns and families of
-    up to ``depth`` parts.
+    """(shapes of levels 2..depth, room, worst-case entries) of the minor
+    store of a scan of r rows, nx general columns and families of up to
+    ``depth`` parts.
 
-    The store buffer holds every level and the room for the t rows below
-    a row of a level built one row at a time. Its worst case adds X, the
-    rest rows of ``_blocks`` and the largest batch of ``_build_level``,
-    which holds its rows one level down and twice its terms.
+    The store buffer holds every level and a room that serves twice: it
+    gathers the t rows below a row of a level built one row at a time, and
+    it holds a family's sum of several store rows, up to C(nx, t) entries,
+    which is formed only after the build. Its worst case adds X, the rest
+    rows of ``_blocks`` and the largest batch of ``_build_level``, which
+    holds its rows one level down and twice its terms.
     """
     shapes = tuple((comb(r, t), comb(nx, t)) for t in range(2, depth + 1))
-    room = extra = batch = 0
+    room = max(comb(nx, t) for t in range(1, depth + 1))
+    extra = batch = 0
     for t, (rows, size) in enumerate(shapes, 2):
         below = comb(nx, t - 1)
-        _, step, _, _, rest = _blocks(nx, t)
+        _, step, _, rest = _blocks(nx, t)
         if rest is None:
             room = max(room, t * below)
         else:
@@ -315,31 +326,50 @@ def _store_layout(r: int, nx: int, depth: int):
     return shapes, room, r * nx + sum(a * b for a, b in shapes) + room + extra + batch
 
 
-# The int64 store of the last finished scan, which the next scan reuses, so
-# that a run of scans writes to pages that it already has: a fresh store
-# costs a page fault for every page that it touches. A store of more than
-# _SPARE_ENTRIES entries (64 MiB) is not kept.
+# The store of the last finished scan, which the next scan of the same
+# dtype reuses, so that a run of scans writes to pages that it already has:
+# a fresh store costs a page fault for every page that it touches. A store
+# of exact ints, or of more than _SPARE_BYTES (64 MiB), is not kept.
 _spare: list[np.ndarray] = []
-_SPARE_ENTRIES = 1 << 23
+_SPARE_BYTES = 1 << 26
 
 
 def _take_buffer(entries: int, dtype: np.dtype) -> np.ndarray:
-    """The spare int64 store if it is large enough, else a new buffer."""
-    if dtype == np.int64:
-        try:
-            spare = _spare.pop()
-        except IndexError:
-            pass
-        else:
-            if spare.size >= entries:
-                return spare
-            del spare  # free it before allocating
+    """The spare store if it has this dtype and is large enough, else a new
+    buffer; a spare that does not serve is freed before the allocation."""
+    try:
+        spare = _spare.pop()
+    except IndexError:
+        spare = None
+    if spare is not None and spare.dtype == dtype and spare.size >= entries:
+        return spare
+    del spare  # free it before allocating
     return np.empty(max(entries, 1), dtype=dtype)
 
 
 def _give_buffer(buf: np.ndarray) -> None:
-    if buf.dtype == np.int64 and buf.size <= _SPARE_ENTRIES:
+    if buf.dtype != object and buf.nbytes <= _SPARE_BYTES:
         _spare[:] = [buf]
+
+
+@lru_cache(maxsize=4)
+def _free_parts(conn: tuple[int, ...]) -> dict[int, tuple[tuple[int, int], ...]]:
+    """A table, filled on use and shared by every scan over ``conn``, of
+    the parts disjoint from a row mask: used -> its (index, part) pairs in
+    increasing index order. The parts disjoint from ``used`` are nonempty
+    subsets of the other rows, so a table over r rows holds at most 3**r
+    pairs: 2,187 at rank 7, 531,441 (about 45 MiB) at the 12 rows that the
+    scan takes at most."""
+    return {}
+
+
+def _store_dtype(depth: int, col_bound: int) -> np.dtype:
+    """int32 when every value of a scan to ``depth`` parts, at most
+    depth! * B**depth (``_SubsetScan``), fits it, else ``_batch.scan_dtype``:
+    int64 or exact Python ints."""
+    if factorial(depth) * col_bound ** depth < 2 ** 31:
+        return np.dtype(np.int32)
+    return _batch.scan_dtype(depth, col_bound)
 
 
 class _SubsetScan:
@@ -364,14 +394,19 @@ class _SubsetScan:
     A small level is built in batches of rows, all blocks at once through
     the rest row (level 2 whole, if one batch holds it); a large one row
     by row, one matrix product per block. The levels are views of one
-    buffer, about 21 MB for 7 rows and 24 columns, which the scan hands to
-    the next one when it ends (``release``).
+    buffer, which the scan hands to the next one when it ends
+    (``release``). For 7 rows and 24 columns they hold 2,629,406 minors,
+    about 10.5 MB in int32 (21 MB in int64).
 
     Every value the scan forms, a term or partial sum of that expansion or
     of a transversal sum, is bounded by t! * B**t for B the largest l1 norm
-    of a column of X, since the parts are disjoint. That is the bound that
-    ``_batch.scan_dtype(max_depth, B)`` certifies, so one code path serves
-    int64 and exact Python ints.
+    of a column of X: expanded over the t! permutations, the absolute terms
+    of one permutation sum to a product of t factors, each the l1 norm of
+    one column of X over the rows of one part, at most B. So when
+    max_depth! * B**max_depth < 2**31 the store is int32, half the bytes
+    of int64 and half the memory traffic; otherwise it is int64 or exact
+    Python ints, as ``_batch.scan_dtype(max_depth, B)`` certifies
+    (``_store_dtype``). One code path serves all three.
     """
 
     def __init__(self, x: np.ndarray, conn, bound: int | None, max_depth: int):
@@ -384,8 +419,8 @@ class _SubsetScan:
         self.best_at: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
         self.path: list[int] = []
         # levels[t][rank(R)] = det X[R, S] over the t-subsets S; level 1 is X.
-        # Levels 2.. and the gather room are views of one buffer, whose rows
-        # are written before they are read.
+        # Levels 2.. and the room (``_store_layout``) are views of one
+        # buffer, whose rows are written before they are read.
         shapes, room, _ = _store_layout(x.shape[0], nx, max_depth)
         self.buffer = buf = _take_buffer(sum(a * b for a, b in shapes) + room, x.dtype)
         self.levels = [None, x]
@@ -395,6 +430,7 @@ class _SubsetScan:
             start += a * b
         self.room = buf[start:start + room]
         self.built = {1 << i for i in range(x.shape[0])}
+        self.free = _free_parts(conn)
 
     def run(self) -> None:
         self._rec(0, 0, [(0, 1)])
@@ -408,22 +444,24 @@ class _SubsetScan:
         depth = len(self.path)
         if depth == self.max_depth:
             return
-        for idx in range(start, len(self.conn)):
-            mask = self.conn[idx]
-            if mask & used:
-                continue
+        free = self.free.get(used)
+        if free is None:
+            free = self.free[used] = tuple((idx, mk) for idx, mk in enumerate(self.conn)
+                                           if not mk & used)
+        for idx, mask in free[bisect_left(free, (start,)):]:  # (start,) < (start, part)
             self.path.append(mask)
             child = self._extend(trans, mask, depth)
             if child is not None:
-                self._inspect(child[1], depth + 1)
+                self._inspect(*child[1:], depth + 1)
                 self._rec(idx + 1, used | mask, child[0])
             self.path.pop()
 
     def _extend(self, trans: list[tuple[int, int]], mask: int, depth: int
-                ) -> tuple[list[tuple[int, int]], np.ndarray] | None:
-        """The transversals of the family extended by the part ``mask``
-        and its minors, the signed sum of their store rows; None when every
-        minor is zero."""
+                ) -> tuple[list[tuple[int, int]], np.ndarray, int, int] | None:
+        """The transversals of the family extended by the part ``mask``,
+        its minors (the signed sum of their store rows) and their largest
+        and smallest value; None when every minor is zero. A sum of several
+        rows is formed in the room, which the next build overwrites."""
         child = [(rs | 1 << i, -s if (rs >> i).bit_count() & 1 else s)
                  for rs, s in trans for i in _row_set(mask)[1]]
         missing = [rs for rs, _ in child if rs not in self.built]
@@ -433,13 +471,13 @@ class _SubsetScan:
         (rs, first), *others = child
         values = level[_row_set(rs)[0]]
         if others:
-            values = values.copy()  # signs relative to the first leave |values| alone
+            # signs relative to the first leave |values| alone
+            out = self.room[:values.size]
             for rs, s in others:
-                if s == first:
-                    values += level[_row_set(rs)[0]]
-                else:
-                    values -= level[_row_set(rs)[0]]
-        return (child, values) if values.any() else None
+                (np.add if s == first else np.subtract)(values, level[_row_set(rs)[0]], out=out)
+                values = out
+        hi, lo = int(values.max()), int(values.min())
+        return None if hi == lo == 0 else (child, values, hi, lo)
 
     def _build(self, masks: list[int], t: int) -> None:
         """Build the store rows of ``masks`` and of their missing subsets."""
@@ -453,7 +491,8 @@ class _SubsetScan:
 
     def _build_level(self, masks: list[int], t: int) -> None:
         x, r, nx = self.x, self.x.shape[0], self.nx
-        spans, step, signs, widths, rest = _blocks(nx, t)
+        spans, step, widths, rest = _blocks(nx, t)
+        signs = _signs(t, x.dtype)
         if t == 2 and comb(r, 2) <= step:  # all pairs in one batch: the rows below are X
             masks = _row_pairs(r)
         level, below = self.levels[t], self.levels[t - 1]
@@ -464,7 +503,7 @@ class _SubsetScan:
             if rest is not None:  # all blocks at once
                 terms = np.repeat(coef[:, :, t - 1:], widths, axis=2)
                 terms *= below[[m[2] for m in meta]].take(rest, axis=2)
-                level[[m[0] for m in meta]] = terms.sum(axis=1)
+                level[[m[0] for m in meta]] = terms.sum(axis=1, dtype=x.dtype)
             else:  # one row, block by block: row[block c] = coef[:, c] @ subs[:, :width]
                 row = level[meta[0][0]]
                 subs = self.room[:t * below.shape[1]].reshape(t, -1)
@@ -473,19 +512,17 @@ class _SubsetScan:
                     np.matmul(coef[0, :, c], subs[:, :width], out=row[start:start + width])
         self.built.update(masks)
 
-    def _inspect(self, values: np.ndarray, k: int) -> None:
-        fam = tuple(self.path)
-        av = np.abs(values)
-        if self.bound is not None:
-            viol = av > self.bound
-            if viol.any():
-                i = int(np.argmax(viol))
-                raise _ScanHit(int(av[i]), fam, _batch.colex_unrank(k, i))
-        local = int(av.max())
+    def _inspect(self, values: np.ndarray, hi: int, lo: int, k: int) -> None:
+        """Raise the first minor above the bound; else keep the family's
+        largest |minor|, at its first S, when it beats the best so far."""
+        local = max(hi, -lo)
+        if self.bound is not None and local > self.bound:
+            i = int(np.argmax(np.abs(values) > self.bound))
+            raise _ScanHit(abs(int(values[i])), tuple(self.path), _batch.colex_unrank(k, i))
         if local > self.best:
-            i = int(np.argmax(av == local))
+            i = min(int(np.argmax(values == v)) for v in {hi, lo} if abs(v) == local)
             self.best = local
-            self.best_at = (fam, _batch.colex_unrank(k, i))
+            self.best_at = (tuple(self.path), _batch.colex_unrank(k, i))
 
 
 def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
@@ -498,7 +535,7 @@ def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
         nx = len(extras_cols)
         max_depth = min(r, nx)
         col_bound = max(sum(map(abs, col)) for col in extras_cols)
-        dtype = _batch.scan_dtype(max_depth, col_bound)
+        dtype = _store_dtype(max_depth, col_bound)
         _batch.check_scan_entries(_store_layout(r, nx, max_depth)[2], dtype, max_depth, nx)
         x = np.ascontiguousarray(np.array(extras_cols, dtype=dtype).T)
         scan = _SubsetScan(x, _connected_masks(r, split.adj), bound, max_depth)

@@ -232,6 +232,69 @@ class TestDecisionWitnessOrder:
             for f in caches:
                 f.cache_clear()
 
+    @staticmethod
+    def _taken_buffers(monkeypatch):
+        """The list of the store buffers that the scans take, in order."""
+        taken = []
+        take = modularity._take_buffer
+
+        def spy(entries, dtype):
+            taken.append(take(entries, dtype))
+            return taken[-1]
+
+        monkeypatch.setattr(modularity, "_take_buffer", spy)
+        return taken
+
+    @staticmethod
+    def _tiered(rng, big):
+        """Three unit columns, the edge e0 - e1 and four extras, the last
+        of l1 norm ``big``, the largest: families of up to three parts."""
+        cols = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -1, 0]]
+        cols += [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        cols.append([big - 7, 3, -4])
+        return IntMatrix.from_cols(cols)
+
+    def test_store_dtype_on_both_sides_of_the_int32_bound(self, monkeypatch):
+        # 3! * 710**3 < 2**31 <= 3! * 711**3, and 3! * 2**63 > 2**62
+        taken = self._taken_buffers(monkeypatch)
+        rng = random.Random(3232)
+        for big, dtype in [(710, np.int32), (711, np.int64), (2 ** 21, object)]:
+            for _ in range(4):
+                del taken[:]
+                self._matches_naive_identity_scan(self._tiered(rng, big))
+                assert taken and all(buf.dtype == dtype for buf in taken)
+
+    def test_scans_of_mixed_dtypes_take_their_own_buffers(self, monkeypatch):
+        taken = self._taken_buffers(monkeypatch)
+        rng = random.Random(3233)
+        runs = [(self._tiered(rng, big), dtype) for big, dtype in
+                [(20, np.int32), (800, np.int64), (2 ** 21, object), (20, np.int32)]]
+        for m, dtype in runs + runs[-1:]:
+            scan = naive_identity_scan(m)
+            assert modularity_level(m).delta == naive_identity_witness(scan)[0]
+            assert taken[-1].dtype == dtype
+            self._matches_naive_identity_scan(m)
+        # the last int32 scan reuses the store of the one before it
+        assert taken[-1] is taken[-2]
+
+    def test_ties_and_bound_hits_take_the_first_subset(self):
+        # one row: the minors of the part {0} are the extras themselves; two
+        # rows joined by an edge: the part {0, 1} sums two transversals, and
+        # the 2 x 2 minors vanish. A maximum m taken as -m and as +m is
+        # witnessed at its first subset, and a bound hit reports |v| at the
+        # first minor above the bound, not the family's maximum.
+        for extras, first in [([[-3], [1], [3]], -3), ([[3], [1], [-3]], 3),
+                              ([[-1, -2], [1, 2]], -3), ([[1, 2], [-1, -2]], 3),
+                              ([[3], [-5]], -5), ([[-3], [5]], 5)]:
+            r = len(extras[0])
+            units = [[int(i == k) for i in range(r)] for k in range(r)]
+            edges = [[1, -1]] if r == 2 else []
+            m = IntMatrix.from_cols(units + edges + extras)
+            self._matches_naive_identity_scan(m)
+            assert modularity_level(m).witness.det_value == first
+            ok, hit = is_delta_modular(m, 2)
+            assert not ok and abs(hit.det_value) == 3
+
     def test_decision_and_measure_agree_on_flag(self):
         rng = random.Random(1122)
         for _ in range(80):
@@ -429,15 +492,25 @@ class TestScanLimit:
         with pytest.raises(ValueError, match="refusing a minor scan"):
             modularity_level(IntMatrix.from_cols(cols))
 
-    def test_identity_refusal_is_at_the_scan_byte_limit(self, monkeypatch):
+    @staticmethod
+    def _refused_at(monkeypatch, last, limit):
         # 3 rows and 4 extras: the store holds 3*4 + 3*6 + 1*4 = 34 minors,
-        # the rest rows of levels 2 and 3 take 6 + 4 entries, and the larger
+        # its room C(4, 2) = 6 entries (a family's sum of several rows), the
+        # rest rows of levels 2 and 3 take 6 + 4 entries, and the larger
         # batch is level 2's three rows, 3 * 2 * (4 + 2*6) = 96 entries:
-        # 140 int64 entries, 1120 bytes
+        # 146 entries in all
         m = IntMatrix.from_cols([[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, 1],
-                                 [1, 2, 1], [1, 1, 2], [1, -1, 3]])
-        monkeypatch.setattr(_batch, "MAX_SCAN_BYTES", 1120)
+                                 [1, 2, 1], [1, 1, 2], last])
+        monkeypatch.setattr(_batch, "MAX_SCAN_BYTES", limit)
         assert modularity_level(m).delta == naive_max_rank_subdet(m)
-        monkeypatch.setattr(_batch, "MAX_SCAN_BYTES", 1119)
+        monkeypatch.setattr(_batch, "MAX_SCAN_BYTES", limit - 1)
         with pytest.raises(ValueError, match="refusing a minor scan of size 3 over 4"):
             modularity_level(m)
+
+    def test_identity_refusal_is_at_the_scan_byte_limit(self, monkeypatch):
+        # B = 5 and 3! * 5**3 = 750 < 2**31: int32, 146 * 4 = 584 bytes
+        self._refused_at(monkeypatch, [1, -1, 3], 584)
+
+    def test_int64_identity_refusal_is_at_the_scan_byte_limit(self, monkeypatch):
+        # B = 1002 and 3! * 1002**3 > 2**31: int64, 146 * 8 = 1168 bytes
+        self._refused_at(monkeypatch, [1, -1, 1000], 1168)

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from deltamod import modularity
 from deltamod.exact import det_cofactor, is_parallel, rank
 from deltamod.extensions import clique_matrix
 from deltamod.families import build_A, sporadic_rank3
@@ -386,3 +387,18 @@ def test_scan_frees_its_store():
         tracemalloc.stop()
         gc.enable()
     assert grown < 64 * 1024
+
+
+def test_family_count_of_a_construction_scan(monkeypatch):
+    # one _extend per DFS node: the families that the scan of the (4)
+    # construction at delta 5, rank 7 visits, zero families included
+    calls = []
+    extend = modularity._SubsetScan._extend
+
+    def counted(self, *args):
+        calls.append(None)
+        return extend(self, *args)
+
+    monkeypatch.setattr(modularity._SubsetScan, "_extend", counted)
+    assert modularity_level(build_A(5, (4,), 7).matrix).delta == 5
+    assert len(calls) == 4139
