@@ -3,10 +3,9 @@
 The general subdeterminant scan (``exact._scan_subdets``) expands its
 minors here, one row at a time. The identity-anchored scan builds its own
 store of plain minors (``modularity._SubsetScan``) and shares only the
-int64-or-object dtype choice and the size limit of this module. A state
-holds, for each k-subset S of n columns in colexicographic order, the
-determinant of some fixed k rows restricted to S. One step puts a new row
-on top of those rows:
+width rule and the byte rule of this module. A state holds, for each
+k-subset S of n columns in colexicographic order, the determinant of some
+fixed k rows restricted to S. One step puts a new row on top of those rows:
 
     state'[S] = sum over p of (-1)**p * row[S_p] * state[S minus S_p]
 
@@ -15,15 +14,14 @@ batch axes run several row stacks at once: ``batched_det`` and the pair
 filter of ``search._PairRows``, which takes the 2 x 2 minors of a batch of
 candidate pairs. The general scan runs one row stack at a time.
 
-Arrays are int64 when ``fits_int64`` certifies that no minor can overflow,
-and ``dtype=object`` (exact Python ints) otherwise; the step is the same
-code for both. The identity-anchored store has three dtype tiers: int32
-when the bound t! * B**t of its values (``modularity._SubsetScan``) is
-below 2**31, else int64 or object as above. A scan whose largest level
-would need more than ``MAX_SCAN_BYTES`` of index tables, states and step
-temporaries is refused with a ``ValueError`` before any work starts
-(``check_scan_size``; the identity-anchored scan sizes its store itself,
-in any of the three dtypes, and refuses through ``check_scan_entries``).
+Both scans take their dtype from ``scan_dtype``, which bounds every value
+of a scan by n! * B**n: int32 below 2**31, int64 below 2**62 and exact
+Python ints (``dtype=object``) otherwise; the step is the same code for
+all three. Every scan prices its arrays with ``array_bytes`` and is
+refused with a ``ValueError`` before any work starts when they would need
+more than ``MAX_SCAN_BYTES`` (``check_scan_bytes``): the general scan its
+index tables, states and step temporaries (``check_scan_size``), the
+identity-anchored scan its store (``modularity._store_layout``).
 """
 
 from __future__ import annotations
@@ -32,24 +30,26 @@ from math import comb, factorial
 
 import numpy as np
 
-_INT64_HEADROOM = 2 ** 62
 MAX_SCAN_BYTES = 1 << 30
-# One state entry: an int32 or int64, or an object pointer plus a small Python int.
-_ITEM_BYTES = {np.dtype(np.int32): 4, np.dtype(np.int64): 8, np.dtype(object): 40}
 
 # k -> (combos, prev_rank) for the largest column count built so far; the
 # tables for fewer columns are prefixes of these.
 _TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def fits_int64(n: int, entry_bound: int) -> bool:
-    """True when an n x n Laplace expansion cannot overflow int64."""
-    return factorial(n) * (max(1, entry_bound) ** n) < _INT64_HEADROOM
-
-
 def scan_dtype(n: int, entry_bound: int) -> np.dtype:
-    """int64 when minors up to n x n fit, else exact Python ints."""
-    return np.dtype(np.int64 if fits_int64(n, entry_bound) else object)
+    """The narrowest dtype of a scan of minors up to n x n whose every value
+    is at most n! * entry_bound**n: int32 below 2**31, int64 below 2**62,
+    else exact Python ints."""
+    grow = factorial(n) * max(1, entry_bound) ** n
+    return np.dtype(np.int32 if grow < 2 ** 31 else np.int64 if grow < 2 ** 62 else object)
+
+
+def array_bytes(entries: int, dtype) -> int:
+    """Bytes of ``entries`` entries of ``dtype``: its item size, or an object
+    pointer plus a small Python int for exact ints."""
+    dtype = np.dtype(dtype)
+    return entries * (40 if dtype == object else dtype.itemsize)
 
 
 def colex_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -108,19 +108,15 @@ def check_scan_size(n: int, depth: int, dtype: np.dtype) -> None:
     Level k holds its two index tables, the previous and the new state,
     and three state-sized temporaries of the step.
     """
-    item = _ITEM_BYTES[np.dtype(dtype)]
-    need = max((16 * k * comb(n, k) + item * (comb(n, k - 1) + 4 * comb(n, k))
+    need = max((array_bytes(2 * k * comb(n, k), np.intp)
+                + array_bytes(comb(n, k - 1) + 4 * comb(n, k), dtype)
                 for k in range(1, depth + 1)), default=0)
-    _refuse_above_limit(need, depth, n)
+    check_scan_bytes(need, depth, n)
 
 
-def check_scan_entries(entries: int, dtype: np.dtype, depth: int, n: int) -> None:
-    """Refuse a scan of size ``depth`` over n columns whose arrays would
-    hold more than ``MAX_SCAN_BYTES`` in ``entries`` entries of ``dtype``."""
-    _refuse_above_limit(_ITEM_BYTES[np.dtype(dtype)] * entries, depth, n)
-
-
-def _refuse_above_limit(need: int, depth: int, n: int) -> None:
+def check_scan_bytes(need: int, depth: int, n: int) -> None:
+    """Refuse a scan of size ``depth`` over n columns whose arrays need
+    more than ``MAX_SCAN_BYTES``."""
     if need > MAX_SCAN_BYTES:
         raise ValueError(
             f"refusing a minor scan of size {depth} over {n} columns: it needs "
@@ -131,8 +127,8 @@ def _refuse_above_limit(need: int, depth: int, n: int) -> None:
 def laplace_step(row: np.ndarray, state: np.ndarray, n: int, k: int) -> np.ndarray:
     """Extend level-(k-1) minors by one row on top: shape (..., C(n, k)).
 
-    ``row`` has shape (..., n) and ``state`` (..., C(n, k-1)), both int64
-    or both object; the caller guarantees that int64 cannot overflow.
+    ``row`` has shape (..., n) and ``state`` (..., C(n, k-1)), both of one
+    dtype; the caller guarantees that a fixed width cannot overflow.
     """
     combos, prev_rank = colex_tables(n, k)
     acc = row.take(combos[0], axis=-1)

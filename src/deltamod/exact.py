@@ -6,10 +6,11 @@ exact for any entry size. The naive cofactor expansion is kept as an
 independent test oracle. Subdeterminant maxima are found by brute
 enumeration factored through a column basis: the shared minor kernel of
 ``_batch`` ranks the row subsets of the basis columns and then the column
-subsets of the best rows, never their product. It runs in int64 when its
-growth guard allows, exact Python ints in numpy object arrays otherwise,
-and refuses with ``ValueError`` a pass that would not fit in memory.
-Bareiss recomputes each reported witness.
+subsets of the best rows, never their product. It runs in int32 or int64
+when its width rule (``_batch.scan_dtype``) allows, exact Python ints in
+numpy object arrays otherwise, and refuses with ``ValueError`` a pass
+that would not fit in memory. Bareiss recomputes each reported witness
+(``checked_witness``).
 """
 
 from __future__ import annotations
@@ -154,11 +155,17 @@ def _scan_subdets(m: IntMatrix, rows: tuple, bound: int | None) -> tuple[int, Su
     else:
         value = int(col_dets.max())
         c = _first_lex(col_dets == value, m.cols, r)
-    cset = _batch.colex_unrank(r, c)
-    d = det(m.submatrix(rset, cset))
+    return value, checked_witness(m, rset, _batch.colex_unrank(r, c), value)
+
+
+def checked_witness(m: IntMatrix, rows: tuple[int, ...], cols: tuple[int, ...],
+                    value: int) -> SubmatrixWitness:
+    """The witness of a scanned ``value`` at ``rows`` x ``cols``, its
+    determinant recomputed by Bareiss; raises when |det| is not ``value``."""
+    d = det(m.submatrix(rows, cols))
     if abs(d) != value:
         raise RuntimeError(f"witness determinant {d} disagrees with the scanned value {value}")
-    return value, SubmatrixWitness(rset, cset, d)
+    return SubmatrixWitness(rows, cols, d)
 
 
 def max_abs_full_rank_subdet(m: IntMatrix) -> tuple[int, SubmatrixWitness]:

@@ -182,23 +182,23 @@ def _distinct_perms(values: Sequence[int]) -> list[tuple[int, ...]]:
     return sorted(set(permutations(values)))
 
 
+def _private_splits(shape: tuple[int, ...]):
+    """(private, body): the shape whole with no private row, then, if it
+    has a -1, the shape less one -1, which moves to the column's private row."""
+    yield 0, list(shape)
+    if -1 in shape:
+        body = list(shape)
+        body.remove(-1)
+        yield 1, body
+
+
 def _pair_candidates(delta: int):
     shapes = _anchored_shapes(delta)
     seen: set[tuple[tuple[int, int], ...]] = set()
     for sa in shapes:
         for sb in shapes:
-            for da in (0, 1):
-                if da and -1 not in sa:
-                    continue
-                ra = list(sa)
-                if da:
-                    ra.remove(-1)
-                for db in (0, 1):
-                    if db and -1 not in sb:
-                        continue
-                    rb = list(sb)
-                    if db:
-                        rb.remove(-1)
+            for da, ra in _private_splits(sa):
+                for db, rb in _private_splits(sb):
                     if len(ra) != len(rb) or not ra:
                         continue
                     for pa in _distinct_perms(ra):
@@ -256,12 +256,7 @@ def _triple_candidates(delta: int):
         a = pair.column(0)
         b = pair.column(1)
         for sc in shapes:
-            for dc in (0, 1):
-                if dc and -1 not in sc:
-                    continue
-                body = list(sc)
-                if dc:
-                    body.remove(-1)
+            for dc, body in _private_splits(sc):
                 if len(body) > t:
                     continue
                 width = t + dc

@@ -18,9 +18,9 @@ strategies are dispatched on matrix structure:
   general columns, so by multilinearity (the Cauchy-Binet formula) its
   minors are signed sums of plain minors det X[R, S] over the transversals
   R of the parts, one row from each. ``_SubsetScan`` computes each plain
-  minor once per scan and shares it among every family, in int32 or int64
-  when its bound on every value allows and over exact Python ints
-  otherwise (``_store_dtype``).
+  minor once per scan and shares it among every family, in the dtype
+  that ``_batch.scan_dtype`` gives for its bound on every value: int32,
+  int64 or exact Python ints.
 
 * general: brute force over rank-sized subsets factored through a column
   basis: one kernel pass over row subsets, one over column subsets, first
@@ -47,8 +47,9 @@ the last, because each row set of that size ties (its row transform
 are anchored.
 
 A scan too large for memory is refused with ``ValueError`` before it
-starts. The identity-anchored path is cross-validated against the
-brute-force path in the test suite on randomized inputs.
+starts (``_batch.check_scan_bytes``). The identity-anchored path is
+cross-validated against the brute-force path in the test suite on
+randomized inputs.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
 from . import _batch
-from .exact import _parallel_groups, _row_pass, _scan_subdets, det
+from .exact import _parallel_groups, _row_pass, _scan_subdets, checked_witness
 from .intmatrix import DegenerateRankError, IntMatrix, SubmatrixWitness
 
 _MAX_FAST_ROWS = 12
@@ -173,29 +174,6 @@ def _connected_masks(r: int, adj: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4096)
-def _disjoint_families(conn: tuple[int, ...], t: int) -> tuple[tuple[int, ...], ...]:
-    """Families of t pairwise-disjoint masks, lexicographic over positions."""
-    out: list[tuple[int, ...]] = []
-    acc: list[int] = []
-
-    def rec(start: int, used: int) -> None:
-        if len(acc) == t:
-            out.append(tuple(acc))
-            return
-        remaining = t - len(acc)
-        for idx in range(start, len(conn) - remaining + 1):
-            mk = conn[idx]
-            if mk & used:
-                continue
-            acc.append(mk)
-            rec(idx + 1, used | mk)
-            acc.pop()
-
-    rec(0, 0)
-    return tuple(out)
-
-
-@lru_cache(maxsize=4096)
 def _mask_sums(col: tuple[int, ...], r: int) -> tuple[int, ...]:
     """sums[mask] = sum of col over the rows in mask; cached for the search."""
     sums = [0] * (1 << r)
@@ -300,30 +278,33 @@ def _row_pairs(r: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=64)
-def _store_layout(r: int, nx: int, depth: int):
-    """(shapes of levels 2..depth, room, worst-case entries) of the minor
-    store of a scan of r rows, nx general columns and families of up to
-    ``depth`` parts.
+def _store_layout(r: int, nx: int, depth: int, dtype: np.dtype):
+    """(shapes of levels 2..depth, room, worst-case bytes) of the minor
+    store in ``dtype`` of a scan of r rows, nx general columns and families
+    of up to ``depth`` parts.
 
     The store buffer holds every level and a room that serves twice: it
     gathers the t rows below a row of a level built one row at a time, and
     it holds a family's sum of several store rows, up to C(nx, t) entries,
     which is formed only after the build. Its worst case adds X, the rest
-    rows of ``_blocks`` and the largest batch of ``_build_level``, which
-    holds its rows one level down and twice its terms.
+    rows of ``_blocks``, which are np.intp, and the largest batch of
+    ``_build_level``, which holds its rows one level down and twice its
+    terms.
     """
     shapes = tuple((comb(r, t), comb(nx, t)) for t in range(2, depth + 1))
     room = max(comb(nx, t) for t in range(1, depth + 1))
-    extra = batch = 0
+    rests = batch = 0
     for t, (rows, size) in enumerate(shapes, 2):
         below = comb(nx, t - 1)
         _, step, _, rest = _blocks(nx, t)
         if rest is None:
             room = max(room, t * below)
         else:
-            extra += size
+            rests += size
             batch = max(batch, min(rows, step) * t * (below + 2 * size))
-    return shapes, room, r * nx + sum(a * b for a, b in shapes) + room + extra + batch
+    entries = r * nx + sum(a * b for a, b in shapes) + room + batch
+    return shapes, room, (_batch.array_bytes(entries, dtype)
+                          + _batch.array_bytes(rests, np.intp))
 
 
 # The store of the last finished scan, which the next scan of the same
@@ -363,15 +344,6 @@ def _free_parts(conn: tuple[int, ...]) -> dict[int, tuple[tuple[int, int], ...]]
     return {}
 
 
-def _store_dtype(depth: int, col_bound: int) -> np.dtype:
-    """int32 when every value of a scan to ``depth`` parts, at most
-    depth! * B**depth (``_SubsetScan``), fits it, else ``_batch.scan_dtype``:
-    int64 or exact Python ints."""
-    if factorial(depth) * col_bound ** depth < 2 ** 31:
-        return np.dtype(np.int32)
-    return _batch.scan_dtype(depth, col_bound)
-
-
 class _SubsetScan:
     """DFS over families of disjoint connected parts, by Cauchy-Binet.
 
@@ -402,11 +374,11 @@ class _SubsetScan:
     of a transversal sum, is bounded by t! * B**t for B the largest l1 norm
     of a column of X: expanded over the t! permutations, the absolute terms
     of one permutation sum to a product of t factors, each the l1 norm of
-    one column of X over the rows of one part, at most B. So when
-    max_depth! * B**max_depth < 2**31 the store is int32, half the bytes
-    of int64 and half the memory traffic; otherwise it is int64 or exact
-    Python ints, as ``_batch.scan_dtype(max_depth, B)`` certifies
-    (``_store_dtype``). One code path serves all three.
+    one column of X over the rows of one part, at most B. The store takes
+    the dtype ``_batch.scan_dtype(max_depth, B)`` of that bound: int32 when
+    max_depth! * B**max_depth < 2**31, half the bytes of int64 and half
+    the memory traffic, else int64 or exact Python ints. One code path
+    serves all three.
     """
 
     def __init__(self, x: np.ndarray, conn, bound: int | None, max_depth: int):
@@ -421,7 +393,7 @@ class _SubsetScan:
         # levels[t][rank(R)] = det X[R, S] over the t-subsets S; level 1 is X.
         # Levels 2.. and the room (``_store_layout``) are views of one
         # buffer, whose rows are written before they are read.
-        shapes, room, _ = _store_layout(x.shape[0], nx, max_depth)
+        shapes, room, _ = _store_layout(x.shape[0], nx, max_depth, x.dtype)
         self.buffer = buf = _take_buffer(sum(a * b for a, b in shapes) + room, x.dtype)
         self.levels = [None, x]
         start = 0
@@ -535,8 +507,8 @@ def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
         nx = len(extras_cols)
         max_depth = min(r, nx)
         col_bound = max(sum(map(abs, col)) for col in extras_cols)
-        dtype = _store_dtype(max_depth, col_bound)
-        _batch.check_scan_entries(_store_layout(r, nx, max_depth)[2], dtype, max_depth, nx)
+        dtype = _batch.scan_dtype(max_depth, col_bound)
+        _batch.check_scan_bytes(_store_layout(r, nx, max_depth, dtype)[2], max_depth, nx)
         x = np.ascontiguousarray(np.array(extras_cols, dtype=dtype).T)
         scan = _SubsetScan(x, _connected_masks(r, split.adj), bound, max_depth)
         try:
@@ -546,12 +518,7 @@ def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
             value, hit = h.value, (h.family, h.combo)
         finally:
             scan.release()
-    rows_w, cols_w = _witness_cols(*hit, split, r)
-    wit = SubmatrixWitness(rows_w, cols_w, det(m.submatrix(rows_w, cols_w)))
-    if abs(wit.det_value) != value:
-        raise RuntimeError(f"witness determinant {wit.det_value} disagrees "
-                           f"with the scanned value {value}")
-    return value, wit
+    return value, checked_witness(m, *_witness_cols(*hit, split, r), value)
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -635,8 +602,24 @@ def _laplace_terms(fam: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], bo
 
 @lru_cache(maxsize=4096)
 def _capped(conn: tuple[int, ...], t: int, caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every family of t disjoint masks of conn, then the cap of its union U."""
-    return tuple(fam + (caps[sum(fam).bit_count()],) for fam in _disjoint_families(conn, t))
+    """Every family of t disjoint masks of conn, lexicographic over
+    positions, then the cap of its union U."""
+    out: list[tuple[int, ...]] = []
+    acc: list[int] = []
+
+    def rec(start: int, used: int) -> None:
+        if len(acc) == t:
+            out.append((*acc, caps[used.bit_count()]))
+            return
+        for idx in range(start, len(conn) - (t - len(acc)) + 1):
+            mk = conn[idx]
+            if not mk & used:
+                acc.append(mk)
+                rec(idx + 1, used | mk)
+                acc.pop()
+
+    rec(0, 0)
+    return tuple(out)
 
 
 @lru_cache(maxsize=4096)
@@ -665,6 +648,18 @@ class IdentityAnchoredChecker:
     families. Entries are filled on first use by expanding along column k,
     and ``pop`` drops them with the extra. An incoming column is checked by
     the same expansion along itself, over the held minors of the extras.
+
+    An edge e_i - e_j not yet held is checked the same way, as an extra
+    over the parts held before it, and then joins ``adj``. This is exact. A
+    new part through the edge is either an old part, or the union of two
+    old parts A, holding i, and B, holding j. A family that merges A and B
+    is, expanded along the edge column, a family of the old parts in which
+    the edge is the column of one part: that column is 1 on part A, -1 on
+    part B and 0 elsewhere, so adding row A to row B and expanding along
+    it leaves the merged row. Both are the same k x k minor of Y over the
+    same union U, held to ``caps[|U|]``. A family of old parts in which the
+    edge meets one part alone gives a minor over a smaller union, which
+    already holds within its smaller cap.
     """
 
     def __init__(self, r: int, delta: int, d: int = 1):
@@ -684,21 +679,20 @@ class IdentityAnchoredChecker:
         if kind == "unit" or kind == "edge" and self.adj[data[0]] >> data[1] & 1:
             # like a unit column, an edge already held adds no minor to check
             self._trail.append(("unit", None))
-        elif kind == "edge":
-            i, j = data  # type: ignore[misc]
-            if not self._edge_ok(i, j):
-                return False
-            self.adj[i] |= 1 << j
-            self.adj[j] |= 1 << i
-            self._trail.append(("edge", (i, j)))
         else:
             sums = _mask_sums(col, self.r)
             if not self._extra_ok(sums):
                 return False
-            self.extras.append(col)
-            self.sums.append(sums)
-            self.minors.append({})
-            self._trail.append(("extra", None))
+            if kind == "edge":
+                i, j = data  # type: ignore[misc]
+                self.adj[i] |= 1 << j
+                self.adj[j] |= 1 << i
+                self._trail.append(("edge", data))
+            else:
+                self.extras.append(col)
+                self.sums.append(sums)
+                self.minors.append({})
+                self._trail.append(("extra", None))
         self.accepted += 1
         return True
 
@@ -742,25 +736,6 @@ class IdentityAnchoredChecker:
         held[fam] = v
         self.fills += 1
         return v
-
-    def _edge_ok(self, i: int, j: int) -> bool:
-        nx = len(self.extras)
-        if not nx:
-            return True
-        new_adj = list(self.adj)
-        new_adj[i] |= 1 << j
-        new_adj[j] |= 1 << i
-        conn = _connected_masks(self.r, tuple(new_adj))
-        pair_mask = (1 << i) | (1 << j)
-        for t in range(1, min(self.r, nx) + 1):
-            for fam in _disjoint_families(conn, t):
-                if not any(mask & pair_mask == pair_mask for mask in fam):
-                    continue
-                cap = self.caps[sum(fam).bit_count()]
-                for ks in combinations(range(nx), t):
-                    if abs(self._minor(ks, fam)) > cap:
-                        return False
-        return True
 
     def _extra_ok(self, new: tuple[int, ...]) -> bool:
         caps = self.caps

@@ -114,10 +114,6 @@ class SearchCertificate:
                 "ceiling": self.ceiling_used}
 
 
-def _sorted_universe(cols: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    return sorted(cols, key=lambda c: (max(abs(v) for v in c), c))
-
-
 def hermite_bases(delta: int, r: int) -> list[IntMatrix]:
     """Upper-triangular bases with positive diagonal, reduced entries above
     each pivot, diagonal product <= delta, and primitive columns."""
@@ -191,15 +187,13 @@ def _seed_bases(delta: int, r: int, mode: str) -> Iterator[IntMatrix]:
         yield from hermite_bases(delta, r)[1:]
 
 
-def column_universe(delta: int, r: int, mode: str) -> list[tuple[int, ...]]:
-    """Primitive, sign-canonical, pairwise non-parallel candidate columns."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    cols: set[tuple[int, ...]] = set()
-    for h in _seed_bases(delta, r, mode):
-        cols.update(_canonical(c) for c in h.columns())
-        cols.update(map(tuple, _grid_candidates(h, delta)[0].tolist()))
-    return _sorted_universe(cols)
+def column_universe(delta: int, r: int) -> list[tuple[int, ...]]:
+    """The identity universe: the unit columns and the grid columns of the
+    unit basis, primitive, sign-canonical and pairwise non-parallel, sorted
+    by (max absolute entry, entries)."""
+    unit = IntMatrix.identity(r)
+    cols = set(unit.columns()) | set(map(tuple, _grid_candidates(unit, delta)[0].tolist()))
+    return sorted(cols, key=lambda c: (max(abs(v) for v in c), c))
 
 
 _CLOCK_EVERY = 1024
@@ -412,7 +406,7 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
                 raise RuntimeError("the checker rejected a column of a feasible seed")
         # universe columns are canonical and pairwise non-parallel
         seen = {_canonical(c) for c in cols}
-        for c in column_universe(delta, r, config.mode):
+        for c in column_universe(delta, r):
             if not budget.charge(1):
                 break
             if c in seen:

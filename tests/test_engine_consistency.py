@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from deltamod import _batch, exact, modularity
-from deltamod._batch import batched_det, colex_tables, colex_unrank, fits_int64
+from deltamod._batch import batched_det, colex_tables, colex_unrank, scan_dtype
 from deltamod.cli import run
 from deltamod.exact import det, det_cofactor, max_abs_full_rank_subdet, rank
 from deltamod.extensions import clique_matrix
@@ -264,6 +264,34 @@ class TestDecisionWitnessOrder:
                 self._matches_naive_identity_scan(self._tiered(rng, big))
                 assert taken and all(buf.dtype == dtype for buf in taken)
 
+    def test_general_scan_dtype_on_both_sides_of_the_int32_bound(self, monkeypatch):
+        # no unit basis, so the general scan runs in scan_dtype(3, B) for
+        # the largest |entry| B: 3! * 710**3 < 2**31 <= 3! * 711**3. Wide
+        # matrices, then tall ones whose last row repeats the first
+        dtypes = []
+        size = _batch.check_scan_size
+
+        def spy(n, depth, dtype):
+            dtypes.append(dtype)
+            size(n, depth, dtype)
+
+        monkeypatch.setattr(_batch, "check_scan_size", spy)
+        rng = random.Random(3234)
+        for big, dtype in [(710, np.int32), (711, np.int64)]:
+            for tall in (False, False, True, True):
+                ent = [[rng.randint(-big, big) for _ in range(5)] for _ in range(3)]
+                ent[rng.randrange(3)][rng.randrange(5)] = rng.choice([big, -big])
+                m = IntMatrix.from_rows(ent + ent[:1] if tall else ent)
+                assert rank(m) == 3 and not anchored_row_basis(m)
+                del dtypes[:]
+                value = naive_max_rank_subdet(m)
+                assert max_abs_full_rank_subdet(m)[0] == value
+                assert is_delta_modular(m, value) == (True, None)
+                ok, hit = is_delta_modular(m, value - 1)
+                assert not ok and hit.check(m) and abs(hit.det_value) == value
+                assert dtypes and all(d == dtype for d in dtypes)
+                assert self._matches_naive_first_hit(m)
+
     def test_scans_of_mixed_dtypes_take_their_own_buffers(self, monkeypatch):
         taken = self._taken_buffers(monkeypatch)
         rng = random.Random(3233)
@@ -422,10 +450,13 @@ class TestBatchedDet:
                 assert got[i] == det_cofactor(IntMatrix.from_rows(mats[i].tolist()))
 
     def test_growth_guard(self):
-        assert fits_int64(7, 100)
-        assert not fits_int64(7, 10 ** 9)
-        assert fits_int64(2, 2 ** 30)
-        assert not fits_int64(2, 2 ** 32)
+        # n! * B**n against 2**31 and 2**62: 1 * (2**31 - 1) < 2**31,
+        # 3! * 710**3 < 2**31 <= 3! * 711**3, 3! * 916015**3 < 2**62 <=
+        # 3! * 916016**3, and B = 0 counts as 1
+        assert scan_dtype(1, 2 ** 31 - 1) == scan_dtype(3, 710) == scan_dtype(7, 0) == np.int32
+        assert scan_dtype(1, 2 ** 31) == scan_dtype(3, 711) == np.int64
+        assert scan_dtype(1, 2 ** 62 - 1) == scan_dtype(3, 916015) == np.int64
+        assert scan_dtype(1, 2 ** 62) == scan_dtype(3, 916016) == object
 
 
 class TestScanLimit:
@@ -495,10 +526,10 @@ class TestScanLimit:
     @staticmethod
     def _refused_at(monkeypatch, last, limit):
         # 3 rows and 4 extras: the store holds 3*4 + 3*6 + 1*4 = 34 minors,
-        # its room C(4, 2) = 6 entries (a family's sum of several rows), the
-        # rest rows of levels 2 and 3 take 6 + 4 entries, and the larger
-        # batch is level 2's three rows, 3 * 2 * (4 + 2*6) = 96 entries:
-        # 146 entries in all
+        # its room C(4, 2) = 6 entries (a family's sum of several rows), and
+        # the larger batch is level 2's three rows, 3 * 2 * (4 + 2*6) = 96
+        # entries: 136 entries of the store's dtype. The rest rows of levels
+        # 2 and 3 add 6 + 4 = 10 entries of np.intp, 8 bytes each
         m = IntMatrix.from_cols([[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, 1],
                                  [1, 2, 1], [1, 1, 2], last])
         monkeypatch.setattr(_batch, "MAX_SCAN_BYTES", limit)
@@ -508,9 +539,9 @@ class TestScanLimit:
             modularity_level(m)
 
     def test_identity_refusal_is_at_the_scan_byte_limit(self, monkeypatch):
-        # B = 5 and 3! * 5**3 = 750 < 2**31: int32, 146 * 4 = 584 bytes
-        self._refused_at(monkeypatch, [1, -1, 3], 584)
+        # B = 5 and 3! * 5**3 = 750 < 2**31: int32, 136 * 4 + 10 * 8 = 624 bytes
+        self._refused_at(monkeypatch, [1, -1, 3], 624)
 
     def test_int64_identity_refusal_is_at_the_scan_byte_limit(self, monkeypatch):
-        # B = 1002 and 3! * 1002**3 > 2**31: int64, 146 * 8 = 1168 bytes
+        # B = 1002 and 3! * 1002**3 > 2**31: int64, 136 * 8 + 10 * 8 = 1168 bytes
         self._refused_at(monkeypatch, [1, -1, 1000], 1168)

@@ -35,35 +35,31 @@ def _grid_by_loop(h: IntMatrix, delta: int) -> list[tuple[int, ...]]:
 
 class TestUniverse:
     def test_rank2_unimodular(self):
-        assert set(column_universe(1, 2, "identity-anchored")) == {
+        assert set(column_universe(1, 2)) == {
             (1, 0), (0, 1), (1, 1), (1, -1)}
 
     def test_rank2_bimodular_count(self):
-        assert len(column_universe(2, 2, "identity-anchored")) == 8
+        assert len(column_universe(2, 2)) == 8
 
     def test_columns_are_canonical(self):
-        for col in column_universe(3, 3, "identity-anchored"):
+        for col in column_universe(3, 3):
             assert col == primitive_part(col)
             assert next(v for v in col if v) > 0
 
     def test_pairwise_non_parallel(self):
-        cols = column_universe(2, 3, "identity-anchored")
+        cols = column_universe(2, 3)
         assert not any(is_parallel(a, b) for a, b in combinations(cols, 2))
 
     def test_contains_ladder_columns(self):
         for delta, r in [(2, 3), (3, 4)]:
-            universe = set(column_universe(delta, r, "identity-anchored"))
+            universe = set(column_universe(delta, r))
             for col in build_A_lee(delta, r).matrix.columns():
                 assert _canonical(col) in universe
 
     def test_sorted_by_entry_size_then_lex(self):
-        cols = column_universe(2, 2, "identity-anchored")
+        cols = column_universe(2, 2)
         keys = [(max(abs(v) for v in c), c) for c in cols]
         assert keys == sorted(keys)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            column_universe(1, 2, "bogus")
 
     @pytest.mark.parametrize("delta, r", [(1, 3), (2, 3), (3, 3), (5, 2), (2, 4), (1, 5)])
     def test_grid_matches_loop_reference(self, delta, r):
@@ -142,7 +138,7 @@ class TestSearchValues:
         # exhaust every subset of the rank-2 universes directly
         for delta in (1, 2, 3):
             seed = [(1, 0), (0, 1)]
-            cands = [c for c in column_universe(delta, 2, "identity-anchored")
+            cands = [c for c in column_universe(delta, 2)
                      if not any(is_parallel(c, s) for s in seed)]
             best = 2
             for k in range(1, len(cands) + 1):
@@ -172,7 +168,7 @@ class TestSearchValues:
 def _greedy_from_scratch(seed: IntMatrix, delta: int) -> IntMatrix:
     """Greedy extension that rechecks the whole matrix for every column."""
     cols = [list(c) for c in seed.columns()]
-    for c in column_universe(delta, seed.rows, "greedy-seeded"):
+    for c in column_universe(delta, seed.rows):
         if any(is_parallel(c, s) for s in cols):
             continue
         if is_delta_modular(IntMatrix.from_cols(cols + [list(c)]), delta)[0]:
@@ -329,8 +325,6 @@ class TestCertificates:
         monkeypatch.setattr(search, "hermite_bases", enumerate_bases)
         with pytest.raises(ValueError, match=r"\[-2, 2\]\^16 needs"):
             max_columns_search(SearchConfig(2, 16, "hnf-exhaustive"))
-        with pytest.raises(ValueError, match=r"\[-2, 2\]\^16 needs"):
-            column_universe(2, 16, "hnf-exhaustive")
 
     def test_grid_refusal_is_at_the_scan_byte_limit(self, monkeypatch):
         # the (2, 3) grid is 125 vectors of 3 int64 entries, 3000 bytes, and
@@ -416,6 +410,30 @@ class TestBasisCoordinates:
                     edges += walk_edges if det(h) > 1 else 0
         assert edges >= 20
 
+    @pytest.mark.parametrize("basis, extras, edge, holds", [
+        # B = [[1, 0, 1], [0, 1, 0], [0, 0, 2]], d = 2: the extras have
+        # y = (1, 2, 1) and (-1, 2, -1), the edge y = e0 - e2. The minors
+        # over the parts ({0}, {1}) and ({2}, {1}) are 4, at the cap 2 * 2;
+        # merged through the edge, over ({0, 2}, {1}), they sum to 8, at the
+        # cap 2 * 2**2
+        ([[1, 0, 0], [0, 1, 0], [1, 0, 2]], [(1, 1, 1), (-1, 1, -1)], (0, 0, -1), True),
+        # the unit basis, d = 1: the same two minors are 2, at the cap 2,
+        # and merged they sum to 4, above it
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [(1, 0, 1), (1, 2, -1)], (1, 0, -1), False),
+    ])
+    def test_edge_merging_two_parts_with_extras(self, basis, extras, edge, holds):
+        """An edge is checked as an extra over the parts held before it. A
+        minor that merges parts A and B through it is the sum of a minor
+        over A and one over B, each over |B| or |A| fewer rows, so at
+        d > 1 it stays within 2 * delta * d**(k-2) <= delta * d**(k-1):
+        there it reaches its cap at most, and at d = 1 it can exceed it."""
+        checker = _GeneralChecker(basis, 2)
+        assert all(checker.try_add(c) for c in extras)
+        assert is_delta_modular(IntMatrix.from_cols(basis + extras), 2)[0]
+        assert checker.try_add(edge) == holds
+        assert is_delta_modular(IntMatrix.from_cols(basis + extras + [edge]), 2)[0] == holds
+        assert (checker.adj[0] == 0b100) == holds and len(checker.extras) == 2
+
     def test_random_bases(self):
         rng = random.Random(2424)
         walks = 0
@@ -475,7 +493,7 @@ class TestPairFilter:
     def test_identity_candidates_match_identity_mode(self):
         r, delta = 3, 2
         seed = [tuple(int(i == k) for i in range(r)) for k in range(r)]
-        mode_cands = [c for c in column_universe(delta, r, "identity-anchored")
+        mode_cands = [c for c in column_universe(delta, r)
                       if not any(is_parallel(c, s) for s in seed)]
         assert mode_cands == list(map(tuple, _grid_candidates(
             IntMatrix.identity(r), delta)[0].tolist()))
@@ -577,7 +595,7 @@ PINNED_STATS = [
     (SearchConfig(2, 3, "hnf-exhaustive"),
      {"nodes": 44822, "pairFilterSkips": 40526, "stop": "exhausted", "checkers": {
          "identity-anchored": {"tryAdd": 3723, "accepted": 2327,
-                               "minorHits": 5347, "minorFills": 3736},
+                               "minorHits": 5384, "minorFills": 3721},
          "general": {"tryAdd": 573, "accepted": 538,
                      "minorHits": 1244, "minorFills": 1047}}}),
     (SearchConfig(5, 2, "hnf-exhaustive"),
@@ -589,7 +607,7 @@ PINNED_STATS = [
     (SearchConfig(2, 4, "identity-anchored", node_limit=3000),
      {"nodes": 3001, "pairFilterSkips": 2738, "stop": "node-limit", "checkers": {
          "identity-anchored": {"tryAdd": 262, "accepted": 20,
-                               "minorHits": 2705, "minorFills": 486}}}),
+                               "minorHits": 2904, "minorFills": 395}}}),
     (SearchConfig(3, 3, "greedy-seeded", seed_matrix=sporadic_rank3()),
      {"nodes": 145, "pairFilterSkips": 0, "stop": "exhausted", "checkers": {}}),
 ]
