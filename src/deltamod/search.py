@@ -53,6 +53,31 @@ set bits, up to the first index where the count bound fails, are charged
 to the node budget in one block, which stops on the same node as charging
 them one by one. So every search visits the same nodes in the same order,
 with the same count, limits and certificate, as without the filter.
+
+Orbit minima. Over the unit basis (identity-anchored mode, and
+hnf-exhaustive's first basis), the first chosen candidate ranges only over
+orbit minima under signed row permutations: candidate i is kept iff it is
+the first candidate, in search order, with its sorted vector of absolute
+values. A signed row permutation g is a unimodular row map, so it keeps a
+column set feasible and pairwise non-parallel; it maps the unit columns to
+unit columns up to sign, and a grid candidate to one up to sign (entries,
+primitivity and non-unit-ness are kept). So it maps each feasible set
+I + S over the grid to a feasible set I + g(S) of the same size, g(S)
+canonicalised. The group acts transitively on the canonical primitive
+vectors that share one multiset of absolute values (permute the entries
+into place, then fix the signs), so those vectors form one orbit, and the
+kept candidate is its least member; no group is enumerated. The reported
+matrix cannot change. The search reports the least maximum selection S in
+the lexicographic order of its sorted indices. If S started at a
+candidate i that is not an orbit minimum, some g would map i to the
+minimum m < i of its orbit, and g(S), as large and feasible and holding m,
+would sort before S. So S starts at an orbit minimum, and the subtrees of
+the orbit minima, each still walking every later candidate, contain it.
+Each other top-level candidate is still a node, charged in a block like a
+pair-filter skip and counted as an orbit skip; on a budget that never
+leaves the first top-level subtree, nothing changes, since the first
+candidate is always an orbit minimum (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998, for the general method).
 """
 
 from __future__ import annotations
@@ -138,6 +163,21 @@ def hermite_bases(delta: int, r: int) -> list[IntMatrix]:
             if all(gcd(*(h[i][j] for i in range(j + 1))) == 1 for j in range(r)):
                 bases.append(IntMatrix.from_rows(h))
     return bases
+
+
+def _bitset(ok: np.ndarray) -> int:
+    """The Python int whose bit i is set iff ``ok[i]``."""
+    return int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little")
+
+
+def _orbit_minima(ys: np.ndarray) -> np.ndarray:
+    """Which unit-basis candidates are orbit minima under signed row
+    permutations: the first candidate of each sorted vector of absolute
+    values (module docstring)."""
+    _, first = np.unique(np.sort(np.abs(ys), axis=1), axis=0, return_index=True)
+    keep = np.zeros(len(ys), dtype=bool)
+    keep[first] = True
+    return keep
 
 
 def _grid_candidates(h: IntMatrix, delta: int) -> tuple[np.ndarray, np.ndarray]:
@@ -274,24 +314,37 @@ class _PairRows:
             later = self.ys[i + 1:]
             pairs = np.stack([np.broadcast_to(self.ys[i], later.shape), later], axis=1)
             ok = (abs(subset_minors(pairs)) <= self.cap).all(axis=1)
-            bits = np.packbits(ok, bitorder="little").tobytes()
-            row = self._rows[i] = int.from_bytes(bits, "little") << (i + 1)
+            row = self._rows[i] = _bitset(ok) << (i + 1)
         return row
 
 
-def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget):
-    """Depth-first max subset with count bound; returns (best, selection).
+def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget, first):
+    """Depth-first max subset with count bound; returns (best, selection,
+    orbit skips).
 
-    ``live`` is the AND of the compatibility rows of the chosen candidates.
-    Only its set bits are offered to ``try_add``; the candidates between
-    them, which ``try_add`` would reject, are still nodes and are charged to
-    the budget in one block, up to the first index where the count bound
-    fails.
+    ``live`` is the AND of the compatibility rows of the chosen candidates,
+    and ``first`` at the top level, the candidates a selection may start
+    from. Only its set bits are offered to ``try_add``; the candidates
+    between them, which ``try_add`` would reject or which start no new
+    orbit, are still nodes and are charged to the budget in one block, up
+    to the first index where the count bound fails. Each node charged at
+    the top level and not tried, other than one that exceeds the budget,
+    is an orbit skip.
     """
     best = seed_count
     best_sel: tuple[int, ...] = ()
     sel: list[int] = []
     n = len(cands)
+    orbit_skips = 0
+
+    def charge(k: int, tried: bool) -> bool:
+        nonlocal orbit_skips
+        if sel:
+            return budget.charge(k)
+        before = budget.nodes
+        ok = budget.charge(k)
+        orbit_skips += budget.nodes - before - (tried or not ok)
+        return ok
 
     def rec(i: int, live: int) -> None:
         nonlocal best, best_sel
@@ -301,9 +354,9 @@ def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget):
             j = low.bit_length() - 1 if live else n
             if j >= stop:
                 if stop > i:
-                    budget.charge(stop - i)
+                    charge(stop - i, False)
                 return
-            if not budget.charge(j + 1 - i):
+            if not charge(j + 1 - i, True):
                 return
             live ^= low
             i = j + 1
@@ -312,14 +365,15 @@ def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget):
                 if seed_count + len(sel) > best:
                     best = seed_count + len(sel)
                     best_sel = tuple(sel)
-                rec(i, live & rows[j])
+                # ``first`` limits only the top level: a child walks all of rows[j]
+                rec(i, live & rows[j] if len(sel) > 1 else rows[j])
                 undo()
                 sel.pop()
                 if budget.exceeded:
                     return
 
-    rec(0, (1 << n) - 1)
-    return best, best_sel
+    rec(0, first)
+    return best, best_sel, orbit_skips
 
 
 class _GeneralChecker(IdentityAnchoredChecker):
@@ -335,21 +389,23 @@ class _GeneralChecker(IdentityAnchoredChecker):
         return super().try_add(_coords(self.adjugate, col))
 
 
-def _search_stats(budget: _Budget, checkers: list[tuple[str, object]]) -> dict:
-    """Nodes, pair-filter skips, per-checker work and the stop reason.
+def _search_stats(budget: _Budget, checkers: list[tuple[str, object]],
+                  orbit_skips: int) -> dict:
+    """Nodes, pair-filter and orbit skips, per-checker work and the stop reason.
 
-    Every node charged within the budget either was skipped by the pair
-    filter or called ``try_add``; the one node whose charge exceeded the
-    budget did neither. The greedy mode lists no checker and has no pair
-    filter.
+    Every node charged within the budget was skipped by the pair filter,
+    was skipped at the top level as no orbit minimum, or called
+    ``try_add``; the one node whose charge exceeded the budget did none of
+    these. The greedy mode lists no checker and skips nothing.
     """
     per_checker: dict[str, Counter] = {}
     for name, c in checkers:
         per_checker.setdefault(name, Counter()).update(c.stats())
     calls = sum(e["tryAdd"] for e in per_checker.values())
-    skips = budget.nodes - calls - int(budget.exceeded) if checkers else 0
+    skips = budget.nodes - calls - int(budget.exceeded) - orbit_skips if checkers else 0
     return {"nodes": budget.nodes,
             "pairFilterSkips": skips,
+            "orbitSkips": orbit_skips,
             "checkers": {name: dict(e) for name, e in per_checker.items()},
             "stop": budget.stop_reason()}
 
@@ -370,6 +426,7 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
     ceiling = delta * delta * comb(r + 1, 2)
     budget = _Budget(config.node_limit, config.time_limit_seconds)
     checkers: list[tuple[str, object]] = []
+    orbit_skips = 0
 
     if config.mode != "greedy-seeded":
         best = 0
@@ -379,9 +436,12 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
             d = prod(h.entries[k][k] for k in range(r))
             checker = IdentityAnchoredChecker(r, delta, d)
             checkers.append(("identity-anchored" if d == 1 else "general", checker))
-            h_best, sel = _branch_and_bound(
+            # d = 1 only for the unit basis, whose grid signed row permutations keep
+            first = _bitset(_orbit_minima(ys)) if d == 1 else (1 << len(ys)) - 1
+            h_best, sel, skips = _branch_and_bound(
                 r, list(map(tuple, ys.tolist())), _PairRows(ys, delta * d),
-                checker.try_add, checker.pop, budget)
+                checker.try_add, checker.pop, budget, first)
+            orbit_skips += skips
             h_matrix = IntMatrix.from_cols(h.columns() + cs[list(sel)].tolist())
             if h_best > best or (h_best == best and (
                     matrix is None or h_matrix.entries < matrix.entries)):
@@ -418,7 +478,7 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
         optimal = False
 
     cert = SearchCertificate(best, matrix, optimal, budget.nodes, ceiling,
-                             _search_stats(budget, checkers))
+                             _search_stats(budget, checkers, orbit_skips))
     if not verify_is_feasible(cert.best_matrix, delta):
         raise RuntimeError("search produced an infeasible certificate")
     if cert.best_count != cert.best_matrix.cols:

@@ -165,7 +165,8 @@ class TestSearchCommand:
         assert stats["nodes"] == json.loads(out)["nodes"] and stats["stop"] == "exhausted"
         assert set(stats["checkers"]) == {"identity-anchored", "general"}
         calls = sum(c["tryAdd"] for c in stats["checkers"].values())
-        assert stats["pairFilterSkips"] + calls == stats["nodes"]
+        assert stats["orbitSkips"] > 0
+        assert stats["pairFilterSkips"] + stats["orbitSkips"] + calls == stats["nodes"]
 
     def test_stats_name_the_node_limit(self, capsys):
         code, out, err = run_cli(capsys, "search", "--delta", "2", "--rank", "4",
@@ -176,7 +177,8 @@ class TestSearchCommand:
         ident = stats["checkers"]["identity-anchored"]
         assert ident["minorFills"] > 0 and ident["minorHits"] > 0
         # the node whose tick exceeded the limit neither skipped nor called try_add
-        assert stats["pairFilterSkips"] + ident["tryAdd"] + 1 == stats["nodes"]
+        assert (stats["pairFilterSkips"] + stats["orbitSkips"] + ident["tryAdd"] + 1
+                == stats["nodes"])
 
     def test_greedy_with_seed_file(self, capsys, sporadic_file):
         code, out, _ = run_cli(capsys, "search", "--delta", "3", "--rank", "3",

@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import prod
 
 import numpy as np
@@ -16,7 +16,7 @@ from deltamod.modularity import is_delta_modular
 from deltamod.search import (SearchConfig, column_universe, hermite_bases,
                              max_columns_search, verify_is_feasible, _canonical,
                              _basis_coords, _Budget, _CLOCK_EVERY, _coords,
-                             _GeneralChecker, _grid_candidates, _PairRows)
+                             _GeneralChecker, _grid_candidates, _orbit_minima, _PairRows)
 
 
 def _grid_by_loop(h: IntMatrix, delta: int) -> list[tuple[int, ...]]:
@@ -499,14 +499,56 @@ class TestPairFilter:
             IntMatrix.identity(r), delta)[0].tolist()))
 
 
+def _signed_row_permutations(r: int):
+    """All 2**r * r! maps v -> (s_i v_perm(i))_i."""
+    for perm in permutations(range(r)):
+        for signs in product((1, -1), repeat=r):
+            yield lambda v, perm=perm, signs=signs: [s * v[p] for s, p in zip(signs, perm)]
+
+
+class TestOrbitMinima:
+    @pytest.mark.parametrize("delta, r, kept, total",
+                             [(1, 3, None, None), (2, 3, 5, 46), (3, 3, 12, 142),
+                              (2, 4, 9, 268), (5, 2, None, None), (3, 1, 0, 0)])
+    def test_kept_candidates_are_the_orbit_minima(self, delta, r, kept, total):
+        # brute force over the group: i is a minimum iff no image sorts first
+        ys = _grid_candidates(IntMatrix.identity(r), delta)[1]
+        index = {tuple(y): i for i, y in enumerate(ys.tolist())}
+        group = list(_signed_row_permutations(r))
+        minima = set()
+        for i, y in enumerate(ys.tolist()):
+            images = {index[_canonical(g(y))] for g in group}
+            assert i in images
+            if min(images) == i:
+                minima.add(i)
+        assert set(np.flatnonzero(_orbit_minima(ys)).tolist()) == minima
+        if kept is not None:
+            assert (len(minima), len(ys)) == (kept, total)
+
+    @pytest.mark.parametrize("config", [
+        SearchConfig(1, 3, "identity-anchored"), SearchConfig(2, 2, "identity-anchored"),
+        SearchConfig(3, 2, "identity-anchored"), SearchConfig(4, 2, "identity-anchored"),
+        SearchConfig(2, 3, "identity-anchored"), SearchConfig(2, 3, "hnf-exhaustive"),
+        SearchConfig(5, 2, "hnf-exhaustive")], ids=lambda c: f"{c.delta}-{c.rank}-{c.mode}")
+    def test_pruned_and_unpruned_searches_agree(self, config, monkeypatch):
+        pruned = max_columns_search(config)
+        monkeypatch.setattr(search, "_orbit_minima", lambda ys: np.ones(len(ys), dtype=bool))
+        full = max_columns_search(config)
+        assert full.stats["orbitSkips"] == 0
+        assert (pruned.best_count, pruned.optimal) == (full.best_count, full.optimal)
+        assert pruned.optimal and pruned.best_matrix == full.best_matrix
+        assert pruned.nodes_explored < full.nodes_explored
+
+
 # Outputs of the benchmark's four search configurations and of small proved
 # searches; the pair filter, the budget and the checkers must leave every
-# node, count and certificate unchanged.
+# node, count and certificate unchanged. The node counts of the proved
+# searches are those with first-level orbit minima.
 PINNED_SEARCHES = [
-    (SearchConfig(2, 3, "identity-anchored"), 9, True, 43087,
+    (SearchConfig(2, 3, "identity-anchored"), 9, True, 17181,
      [[1, 0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 1, -1, -1, -1, -2],
       [0, 0, 1, -1, 1, -1, 0, 1, 0]]),
-    (SearchConfig(2, 3, "hnf-exhaustive"), 9, True, 44822,
+    (SearchConfig(2, 3, "hnf-exhaustive"), 9, True, 18916,
      [[1, 0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 1, -1, -1, -1, -2],
       [0, 0, 1, -1, 1, -1, 0, 1, 0]]),
     (SearchConfig(2, 4, "identity-anchored", node_limit=20000), 13, False, 20001,
@@ -517,19 +559,19 @@ PINNED_SEARCHES = [
     (SearchConfig(3, 3, "identity-anchored", node_limit=30000), 11, False, 30001,
      [[1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1], [0, 1, 0, 1, 1, -1, -1, -1, 1, -2, -1],
       [0, 0, 1, -1, 1, -1, 0, 1, -2, 1, 2]]),
-    (SearchConfig(1, 3, "identity-anchored"), 6, True, 124,
+    (SearchConfig(1, 3, "identity-anchored"), 6, True, 62,
      [[1, 0, 0, 0, 1, 1], [0, 1, 0, 1, -1, -1], [0, 0, 1, -1, 0, 1]]),
-    (SearchConfig(2, 2, "identity-anchored"), 4, True, 24,
+    (SearchConfig(2, 2, "identity-anchored"), 4, True, 18,
      [[1, 0, 1, 1], [0, 1, -1, 1]]),
-    (SearchConfig(3, 2, "identity-anchored"), 6, True, 312,
+    (SearchConfig(3, 2, "identity-anchored"), 6, True, 196,
      [[1, 0, 1, 1, 1, 2], [0, 1, -1, 1, -2, -1]]),
-    (SearchConfig(4, 2, "identity-anchored"), 6, True, 1513,
+    (SearchConfig(4, 2, "identity-anchored"), 6, True, 851,
      [[1, 0, 1, 1, 1, 1], [0, 1, -1, 1, -2, 2]]),
-    (SearchConfig(3, 2, "hnf-exhaustive"), 6, True, 336,
+    (SearchConfig(3, 2, "hnf-exhaustive"), 6, True, 220,
      [[1, 0, 1, 1, 1, 2], [0, 1, -1, 1, -2, -1]]),
-    (SearchConfig(4, 2, "hnf-exhaustive"), 6, True, 1708,
+    (SearchConfig(4, 2, "hnf-exhaustive"), 6, True, 1046,
      [[1, 0, 1, 1, 1, 1], [0, 1, -1, 1, -2, 2]]),
-    (SearchConfig(5, 2, "hnf-exhaustive"), 8, True, 19335,
+    (SearchConfig(5, 2, "hnf-exhaustive"), 8, True, 12321,
      [[1, 0, 1, 1, 1, 1, 2, 2], [0, 1, -1, 1, -2, 2, -1, 1]]),
 ]
 
@@ -543,28 +585,32 @@ _FIRST_NODE = {4: [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 
                3: [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, -1]]}
 
 # Node-limited runs whose limit falls on a clock multiple (1024) or next to
-# it, or whose last node lies inside a run of pair-filter skips (the last
-# two limits of each configuration); the skipped candidates are charged in
-# blocks, and each block must stop on the same node as one charge per node.
+# it, or whose last node lies inside a run of skips: of pair-filter skips
+# (the last two limits of the first three configurations; at (2, 3) hnf, in
+# a basis after the unit basis), or of orbit skips (identity (2, 3), in the
+# tail of the top level). The skipped candidates are charged in blocks, and
+# each block must stop on the same node as one charge per node. ``skips`` is
+# (pair-filter skips, orbit skips).
 NODE_LIMITED = [
-    ((2, 4, "identity-anchored"), 1, 5, 2, 0, _FIRST_NODE[4]),
-    ((2, 4, "identity-anchored"), 1023, 13, 1024, 890, _M24),
-    ((2, 4, "identity-anchored"), 1024, 13, 1025, 891, _M24),
-    ((2, 4, "identity-anchored"), 1025, 13, 1026, 892, _M24),
-    ((2, 4, "identity-anchored"), 150, 13, 151, 107, _M24),
-    ((2, 4, "identity-anchored"), 31226, 13, 31227, 29342, _M24),
-    ((3, 3, "identity-anchored"), 1, 4, 2, 0, _FIRST_NODE[3]),
-    ((3, 3, "identity-anchored"), 1023, 10, 1024, 895, _M33),
-    ((3, 3, "identity-anchored"), 1024, 10, 1025, 896, _M33),
-    ((3, 3, "identity-anchored"), 1025, 10, 1026, 897, _M33),
-    ((3, 3, "identity-anchored"), 200, 10, 201, 149, _M33),
-    ((3, 3, "identity-anchored"), 29375, 11, 29376, 27517, _M33_SPORADIC),
-    ((2, 3, "hnf-exhaustive"), 1, 4, 2, 0, _FIRST_NODE[3]),
-    ((2, 3, "hnf-exhaustive"), 1023, 9, 1024, 880, _M23),
-    ((2, 3, "hnf-exhaustive"), 1024, 9, 1025, 881, _M23),
-    ((2, 3, "hnf-exhaustive"), 1025, 9, 1026, 882, _M23),
-    ((2, 3, "hnf-exhaustive"), 40, 9, 41, 29, _M23),
-    ((2, 3, "hnf-exhaustive"), 22585, 9, 22586, 20525, _M23),
+    ((2, 4, "identity-anchored"), 1, 5, 2, (0, 0), _FIRST_NODE[4]),
+    ((2, 4, "identity-anchored"), 1023, 13, 1024, (890, 0), _M24),
+    ((2, 4, "identity-anchored"), 1024, 13, 1025, (891, 0), _M24),
+    ((2, 4, "identity-anchored"), 1025, 13, 1026, (892, 0), _M24),
+    ((2, 4, "identity-anchored"), 150, 13, 151, (107, 0), _M24),
+    ((2, 4, "identity-anchored"), 31226, 13, 31227, (29342, 0), _M24),
+    ((3, 3, "identity-anchored"), 1, 4, 2, (0, 0), _FIRST_NODE[3]),
+    ((3, 3, "identity-anchored"), 1023, 10, 1024, (895, 0), _M33),
+    ((3, 3, "identity-anchored"), 1024, 10, 1025, (896, 0), _M33),
+    ((3, 3, "identity-anchored"), 1025, 10, 1026, (897, 0), _M33),
+    ((3, 3, "identity-anchored"), 200, 10, 201, (149, 0), _M33),
+    ((3, 3, "identity-anchored"), 29375, 11, 29376, (27517, 0), _M33_SPORADIC),
+    ((2, 3, "hnf-exhaustive"), 1, 4, 2, (0, 0), _FIRST_NODE[3]),
+    ((2, 3, "hnf-exhaustive"), 1023, 9, 1024, (880, 0), _M23),
+    ((2, 3, "hnf-exhaustive"), 1024, 9, 1025, (881, 0), _M23),
+    ((2, 3, "hnf-exhaustive"), 1025, 9, 1026, (882, 0), _M23),
+    ((2, 3, "hnf-exhaustive"), 40, 9, 41, (29, 0), _M23),
+    ((2, 3, "hnf-exhaustive"), 18422, 9, 18423, (16397, 35), _M23),
+    ((2, 3, "identity-anchored"), 17169, 9, 17170, (15581, 23), _M23),
 ]
 
 
@@ -574,7 +620,8 @@ NODE_LIMITED = [
 def test_node_limited_search_outputs(case, limit, count, nodes, skips, entries):
     cert = max_columns_search(SearchConfig(*case, node_limit=limit))
     assert (cert.best_count, cert.optimal, cert.nodes_explored) == (count, False, nodes)
-    assert cert.stats["pairFilterSkips"] == skips and cert.stats["stop"] == "node-limit"
+    assert (cert.stats["pairFilterSkips"], cert.stats["orbitSkips"]) == skips
+    assert cert.stats["stop"] == "node-limit"
     assert cert.best_matrix == IntMatrix.from_rows(entries)
 
 
@@ -593,23 +640,27 @@ def test_pinned_search_outputs(config, count, optimal, nodes, entries):
 # the node limit, and of the greedy mode.
 PINNED_STATS = [
     (SearchConfig(2, 3, "hnf-exhaustive"),
-     {"nodes": 44822, "pairFilterSkips": 40526, "stop": "exhausted", "checkers": {
-         "identity-anchored": {"tryAdd": 3723, "accepted": 2327,
-                               "minorHits": 5384, "minorFills": 3721},
+     {"nodes": 18916, "pairFilterSkips": 16743, "orbitSkips": 35, "stop": "exhausted",
+      "checkers": {
+         "identity-anchored": {"tryAdd": 1565, "accepted": 833,
+                               "minorHits": 1086, "minorFills": 1010},
          "general": {"tryAdd": 573, "accepted": 538,
                      "minorHits": 1244, "minorFills": 1047}}}),
     (SearchConfig(5, 2, "hnf-exhaustive"),
-     {"nodes": 19335, "pairFilterSkips": 17557, "stop": "exhausted", "checkers": {
-         "identity-anchored": {"tryAdd": 1050, "accepted": 1050,
+     {"nodes": 12321, "pairFilterSkips": 11022, "orbitSkips": 22, "stop": "exhausted",
+      "checkers": {
+         "identity-anchored": {"tryAdd": 549, "accepted": 549,
                                "minorHits": 0, "minorFills": 0},
          "general": {"tryAdd": 728, "accepted": 728,
                      "minorHits": 0, "minorFills": 0}}}),
     (SearchConfig(2, 4, "identity-anchored", node_limit=3000),
-     {"nodes": 3001, "pairFilterSkips": 2738, "stop": "node-limit", "checkers": {
+     {"nodes": 3001, "pairFilterSkips": 2738, "orbitSkips": 0, "stop": "node-limit",
+      "checkers": {
          "identity-anchored": {"tryAdd": 262, "accepted": 20,
                                "minorHits": 2904, "minorFills": 395}}}),
     (SearchConfig(3, 3, "greedy-seeded", seed_matrix=sporadic_rank3()),
-     {"nodes": 145, "pairFilterSkips": 0, "stop": "exhausted", "checkers": {}}),
+     {"nodes": 145, "pairFilterSkips": 0, "orbitSkips": 0, "stop": "exhausted",
+      "checkers": {}}),
 ]
 
 
