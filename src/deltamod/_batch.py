@@ -10,9 +10,8 @@ fixed k rows restricted to S. One step puts a new row on top of those rows:
     state'[S] = sum over p of (-1)**p * row[S_p] * state[S minus S_p]
 
 so all minors of a level are shared by every subset of the next. Leading
-batch axes run several row stacks at once: ``batched_det`` and the pair
-filter of ``search._PairRows``, which takes the 2 x 2 minors of a batch of
-candidate pairs. The general scan runs one row stack at a time.
+batch axes run several row stacks at once, as ``batched_det`` does. The
+general scan runs one row stack at a time.
 
 Both scans take their dtype from ``scan_dtype``, which bounds every value
 of a scan by n! * B**n: int32 below 2**31, int64 below 2**62 and exact

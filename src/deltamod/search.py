@@ -91,7 +91,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._batch import MAX_SCAN_BYTES, subset_minors
+from ._batch import MAX_SCAN_BYTES
 from .exact import _bareiss_det, _canonical, _pivot_cols, rank
 from .intmatrix import IntMatrix, ShapeError
 from .modularity import IdentityAnchoredChecker, is_delta_modular, parallel_violations
@@ -298,22 +298,24 @@ class _PairRows:
     ``rows[i]`` is a Python int whose bit j (j > i) is set iff the seed
     basis B plus candidates i and j is delta-modular: iff every 2 x 2 minor
     of their grid coordinates [y_i y_j] (rows of ``ys``) is within ``cap`` =
-    delta * |det B|. A row is one int64 kernel pass over the pairs with every
-    later candidate: |y| <= delta < 2**25 (the grid refusal keeps
-    16 * (2 * delta + 1) within 2**30), so every minor is below 2**51.
+    delta * |det B|. A row takes the minors on every row pair a < b with
+    every later candidate at once, in int64: |y| <= delta < 2**25 (the grid
+    refusal keeps 16 * (2 * delta + 1) within 2**30), so every minor is
+    below 2**51.
     """
 
     def __init__(self, ys: np.ndarray, cap: int):
         self.ys = ys
         self.cap = cap
+        self.a, self.b = np.triu_indices(ys.shape[1], 1)
         self._rows: list[int | None] = [None] * len(ys)
 
     def __getitem__(self, i: int) -> int:
         row = self._rows[i]
         if row is None:
-            later = self.ys[i + 1:]
-            pairs = np.stack([np.broadcast_to(self.ys[i], later.shape), later], axis=1)
-            ok = (abs(subset_minors(pairs)) <= self.cap).all(axis=1)
+            y, later, a, b = self.ys[i], self.ys[i + 1:], self.a, self.b
+            minors = y[a] * later[:, b] - y[b] * later[:, a]
+            ok = (abs(minors) <= self.cap).all(axis=1)
             row = self._rows[i] = _bitset(ok) << (i + 1)
         return row
 

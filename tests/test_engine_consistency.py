@@ -233,16 +233,17 @@ class TestDecisionWitnessOrder:
                 f.cache_clear()
 
     @staticmethod
-    def _taken_buffers(monkeypatch):
-        """The list of the store buffers that the scans take, in order."""
+    def _taken_stores(monkeypatch):
+        """The store levels 2.. of each identity-anchored scan, in order."""
         taken = []
-        take = modularity._take_buffer
+        scan = modularity._SubsetScan
 
-        def spy(entries, dtype):
-            taken.append(take(entries, dtype))
-            return taken[-1]
+        def spy(*args):
+            s = scan(*args)
+            taken.append(s.levels[2:])
+            return s
 
-        monkeypatch.setattr(modularity, "_take_buffer", spy)
+        monkeypatch.setattr(modularity, "_SubsetScan", spy)
         return taken
 
     @staticmethod
@@ -256,13 +257,14 @@ class TestDecisionWitnessOrder:
 
     def test_store_dtype_on_both_sides_of_the_int32_bound(self, monkeypatch):
         # 3! * 710**3 < 2**31 <= 3! * 711**3, and 3! * 2**63 > 2**62
-        taken = self._taken_buffers(monkeypatch)
+        taken = self._taken_stores(monkeypatch)
         rng = random.Random(3232)
         for big, dtype in [(710, np.int32), (711, np.int64), (2 ** 21, object)]:
             for _ in range(4):
                 del taken[:]
                 self._matches_naive_identity_scan(self._tiered(rng, big))
-                assert taken and all(buf.dtype == dtype for buf in taken)
+                assert taken and all(levels and all(a.dtype == dtype for a in levels)
+                                     for levels in taken)
 
     def test_general_scan_dtype_on_both_sides_of_the_int32_bound(self, monkeypatch):
         # no unit basis, so the general scan runs in scan_dtype(3, B) for
@@ -293,17 +295,15 @@ class TestDecisionWitnessOrder:
                 assert self._matches_naive_first_hit(m)
 
     def test_scans_of_mixed_dtypes_take_their_own_buffers(self, monkeypatch):
-        taken = self._taken_buffers(monkeypatch)
+        taken = self._taken_stores(monkeypatch)
         rng = random.Random(3233)
         runs = [(self._tiered(rng, big), dtype) for big, dtype in
                 [(20, np.int32), (800, np.int64), (2 ** 21, object), (20, np.int32)]]
         for m, dtype in runs + runs[-1:]:
             scan = naive_identity_scan(m)
             assert modularity_level(m).delta == naive_identity_witness(scan)[0]
-            assert taken[-1].dtype == dtype
+            assert taken[-1] and all(a.dtype == dtype for a in taken[-1])
             self._matches_naive_identity_scan(m)
-        # the last int32 scan reuses the store of the one before it
-        assert taken[-1] is taken[-2]
 
     def test_ties_and_bound_hits_take_the_first_subset(self):
         # one row: the minors of the part {0} are the extras themselves; two
@@ -526,7 +526,7 @@ class TestScanLimit:
     @staticmethod
     def _refused_at(monkeypatch, last, limit):
         # 3 rows and 4 extras: the store holds 3*4 + 3*6 + 1*4 = 34 minors,
-        # its room C(4, 2) = 6 entries (a family's sum of several rows), and
+        # its scratch C(4, 2) = 6 entries (a family's sum of several rows), and
         # the larger batch is level 2's three rows, 3 * 2 * (4 + 2*6) = 96
         # entries: 136 entries of the store's dtype. The rest rows of levels
         # 2 and 3 add 6 + 4 = 10 entries of np.intp, 8 bytes each

@@ -432,7 +432,7 @@ class TestBasisCoordinates:
         assert is_delta_modular(IntMatrix.from_cols(basis + extras), 2)[0]
         assert checker.try_add(edge) == holds
         assert is_delta_modular(IntMatrix.from_cols(basis + extras + [edge]), 2)[0] == holds
-        assert (checker.adj[0] == 0b100) == holds and len(checker.extras) == 2
+        assert (checker.adj[0] == 0b100) == holds and len(checker.sums) == 2
 
     def test_random_bases(self):
         rng = random.Random(2424)
