@@ -67,7 +67,8 @@ from .exact import _parallel_groups, _row_pass, _scan_subdets, checked_witness
 from .intmatrix import DegenerateRankError, IntMatrix, SubmatrixWitness
 
 _MAX_FAST_ROWS = 12
-# entries of the terms of one batch of minor-store rows
+# entries that one batch of minor-store rows gathers: its rows of X and
+# the store rows one level down
 _BATCH_ENTRIES = 1 << 14
 
 
@@ -243,25 +244,22 @@ def _row_set(mask: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=64)
-def _blocks(nx: int, t: int):
+def _blocks(nx: int, t: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
     """The layout of level t of the minor store over nx columns.
 
     The colex t-subsets whose largest column is c form one block, c = t-1
     .. nx-1, of width C(c, t-1); without c they are the first C(c, t-1)
-    subsets of size t-1. Returns (c, start, width) of each block; the rows
-    of one batch, as many as keep the batch's t terms per row within
-    ``_BATCH_ENTRIES`` entries, else one; and, for a level built in
-    batches, the block widths and the rest row, arange(width) over the
-    blocks: the rank of each subset without c.
+    subsets of size t-1. Returns (c, start, width) of each block and the
+    rows of one batch: as many as keep what the batch gathers, t rows of X
+    and t rows one level down for each row, within ``_BATCH_ENTRIES``
+    entries, else one.
     """
-    widths = [comb(c, t - 1) for c in range(t - 1, nx)]
-    starts = [sum(widths[:k]) for k in range(len(widths))]
-    spans = tuple(zip(range(t - 1, nx), starts, widths))
-    step = _BATCH_ENTRIES // (t * comb(nx, t))
-    if not step:
-        return spans, 1, None, None
-    rest = np.concatenate([np.arange(w, dtype=np.intp) for w in widths])
-    return spans, step, np.array(widths, dtype=np.intp), rest
+    spans, start = [], 0
+    for c in range(t - 1, nx):
+        width = comb(c, t - 1)
+        spans.append((c, start, width))
+        start += width
+    return tuple(spans), max(1, _BATCH_ENTRIES // (t * (nx + comb(nx, t - 1))))
 
 
 @lru_cache(maxsize=64)
@@ -283,27 +281,20 @@ def _store_layout(r: int, nx: int, depth: int, dtype: np.dtype):
     ``dtype`` of a scan of r rows, nx general columns and families of up to
     ``depth`` parts.
 
-    The worst case adds to the levels X, a scratch for the larger of the t
-    rows below a row of a level built one row at a time and a family's sum
-    of several store rows (up to C(nx, t) entries), the rest rows of
-    ``_blocks``, which are np.intp, and the largest batch of
-    ``_build_level``, which holds its rows one level down and twice its
-    terms.
+    The worst case adds to the levels X and the larger of two scratches,
+    which are never alive at once: a family's sum of several store rows (up
+    to C(nx, t) entries) with the boolean masks that ``_inspect`` takes of
+    it, priced as twice the sum, and the largest batch of ``_build_level``,
+    what it gathers (``_blocks``) and, when it holds more than one row, its
+    output. Every term is in ``dtype``.
     """
     shapes = tuple((comb(r, t), comb(nx, t)) for t in range(2, depth + 1))
-    scratch = max(comb(nx, t) for t in range(1, depth + 1))
-    rests = batch = 0
+    scratch = 2 * max(comb(nx, t) for t in range(1, depth + 1))
     for t, (rows, size) in enumerate(shapes, 2):
-        below = comb(nx, t - 1)
-        _, step, _, rest = _blocks(nx, t)
-        if rest is None:
-            scratch = max(scratch, t * below)
-        else:
-            rests += size
-            batch = max(batch, min(rows, step) * t * (below + 2 * size))
-    entries = r * nx + sum(a * b for a, b in shapes) + scratch + batch
-    return shapes, (_batch.array_bytes(entries, dtype)
-                    + _batch.array_bytes(rests, np.intp))
+        n = min(rows, _blocks(nx, t)[1])
+        scratch = max(scratch, n * (t * (nx + comb(nx, t - 1)) + (size if n > 1 else 0)))
+    entries = r * nx + sum(a * b for a, b in shapes) + scratch
+    return shapes, _batch.array_bytes(entries, dtype)
 
 
 # Shared by every scan: a table per scan raised the `extend` benchmark's
@@ -338,11 +329,12 @@ class _SubsetScan:
         det X[R, S] = sum over p of (-1)**(t-1-p) * X[R_p, c] * det X[R - R_p, S - c]
 
     whose second factors are a prefix of the row of R - R_p one level down.
-    A small level is built in batches of rows, all blocks at once through
-    the rest row (level 2 whole, if one batch holds it); a large one row
-    by row, one matrix product per block. The levels are views of one
-    buffer. For 7 rows and 24 columns they hold 2,629,406 minors, about
-    10.5 MB in int32 (21 MB in int64).
+    Every level is built by one rule: in batches of rows (level 2 whole, if
+    one batch holds it), one matrix product per block for the whole batch.
+    A batch of one row is written in place, a larger one through one
+    scratch array that is scattered into the store once. The levels are
+    views of one buffer. For 7 rows and 24 columns they hold 2,629,406
+    minors, about 10.5 MB in int32 (21 MB in int64).
 
     Every value the scan forms, a term or partial sum of that expansion or
     of a transversal sum, is bounded by t! * B**t for B the largest l1 norm
@@ -392,15 +384,15 @@ class _SubsetScan:
             self.path.append(mask)
             child = self._extend(trans, mask, depth)
             if child is not None:
-                self._inspect(*child[1:], depth + 1)
-                self._rec(idx + 1, used | mask, child[0])
+                self._rec(idx + 1, used | mask, child)
             self.path.pop()
 
     def _extend(self, trans: list[tuple[int, int]], mask: int, depth: int
-                ) -> tuple[list[tuple[int, int]], np.ndarray, int, int] | None:
-        """The transversals of the family extended by the part ``mask``,
-        its minors (the signed sum of their store rows) and their largest
-        and smallest value; None when every minor is zero."""
+                ) -> list[tuple[int, int]] | None:
+        """Inspect the minors of the family extended by the part ``mask``,
+        the signed sum of the store rows of its transversals, and return
+        the transversals; None when every minor is zero. The sum ends here,
+        so no family's sum is alive while a store row is built."""
         child = [(rs | 1 << i, -s if (rs >> i).bit_count() & 1 else s)
                  for rs, s in trans for i in _row_set(mask)[1]]
         missing = [rs for rs, _ in child if rs not in self.built]
@@ -414,7 +406,10 @@ class _SubsetScan:
             values = out = (np.add if s == first else np.subtract)(
                 values, level[_row_set(rs)[0]], out=out)
         hi, lo = int(values.max()), int(values.min())
-        return None if hi == lo == 0 else (child, values, hi, lo)
+        if hi == lo == 0:
+            return None
+        self._inspect(values, hi, lo, depth + 1)
+        return child
 
     def _build(self, masks: list[int], t: int) -> None:
         """Build the store rows of ``masks`` and of their missing subsets."""
@@ -427,8 +422,8 @@ class _SubsetScan:
                 self._build_level(level_masks, k)
 
     def _build_level(self, masks: list[int], t: int) -> None:
-        x, r, nx = self.x, self.x.shape[0], self.nx
-        spans, step, widths, rest = _blocks(nx, t)
+        x, r = self.x, self.x.shape[0]
+        spans, step = _blocks(self.nx, t)
         signs = _signs(t, x.dtype)
         # all pairs in one batch: the rows below are X. Building only the
         # pairs asked for raised the `extend` benchmark's p50_ms from 1.21
@@ -438,17 +433,20 @@ class _SubsetScan:
         level, below = self.levels[t], self.levels[t - 1]
         for lo in range(0, len(masks), step):
             meta = [_row_set(mk) for mk in masks[lo:lo + step]]
-            # coef[a, p, c] = +-X[row p of R_a, c], subs[a, p] = the row of R_a - row p
-            coef = x[[m[1] for m in meta]] * signs[:, None]
-            if rest is not None:  # all blocks at once
-                terms = np.repeat(coef[:, :, t - 1:], widths, axis=2)
-                terms *= below[[m[2] for m in meta]].take(rest, axis=2)
-                level[[m[0] for m in meta]] = terms.sum(axis=1, dtype=x.dtype)
-            else:  # one row, block by block: row[block c] = coef[:, c] @ subs[:, :width]
-                row = level[meta[0][0]]
-                subs = below.take(meta[0][2], axis=0)
-                for c, start, width in spans:
-                    np.matmul(coef[0, :, c], subs[:, :width], out=row[start:start + width])
+            # coef[a, 0, p, c] = +-X[row p of R_a, c], subs[a, p] = the row of R_a - row p
+            coef = x[[m[1] for m in meta]]
+            coef *= signs[:, None]
+            coef = coef[:, None]
+            subs = below[[m[2] for m in meta]]
+            # block c of row a is coef[a, 0, :, c] @ subs[a, :, :width]: one
+            # row is written in place, more through one scratch array
+            n = len(meta)
+            out = level[meta[0][0]][None] if n == 1 else np.empty((n, level.shape[1]), x.dtype)
+            for c, start, width in spans:
+                np.matmul(coef[..., c], subs[..., :width], out=out[:, None, start:start + width])
+            if n > 1:
+                level[[m[0] for m in meta]] = out
+            del coef, subs, out  # before the next batch: one batch is priced
         self.built.update(masks)
 
     def _inspect(self, values: np.ndarray, hi: int, lo: int, k: int) -> None:
@@ -456,7 +454,7 @@ class _SubsetScan:
         largest |minor|, at its first S, when it beats the best so far."""
         local = max(hi, -lo)
         if self.bound is not None and local > self.bound:
-            i = int(np.argmax(np.abs(values) > self.bound))
+            i = int(np.argmax((values > self.bound) | (values < -self.bound)))
             raise _ScanHit(abs(int(values[i])), tuple(self.path), _batch.colex_unrank(k, i))
         if local > self.best:
             i = min(int(np.argmax(values == v)) for v in {hi, lo} if abs(v) == local)

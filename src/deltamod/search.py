@@ -236,18 +236,14 @@ def column_universe(delta: int, r: int) -> list[tuple[int, ...]]:
     return sorted(cols, key=lambda c: (max(abs(v) for v in c), c))
 
 
-_CLOCK_EVERY = 1024
-
-
 class _Budget:
     """Node and time budget of one search.
 
-    ``charge(k)`` counts the next k nodes at once. The node limit is exact: a
-    block that crosses it stops at node ``node_limit + 1``. The clock is read
-    only when a block crosses a multiple of ``_CLOCK_EVERY``; if the deadline
-    has passed, the count stops at the first multiple crossed, so the time
-    limit is noticed fewer than that many nodes late. Either way the node
-    that stops the search is counted but not examined.
+    ``charge(k)`` counts the next k nodes at once and reads the clock. The
+    node limit is exact: a block that crosses it stops at node
+    ``node_limit + 1``. Otherwise a block charged after the deadline counts
+    in full and stops the search. Either way the node that stops the search
+    is counted but not examined.
     """
 
     def __init__(self, node_limit: int, time_limit: float):
@@ -258,14 +254,11 @@ class _Budget:
 
     def charge(self, k: int) -> bool:
         """Count k more nodes; False once the budget is exceeded."""
-        before, self.nodes = self.nodes, self.nodes + k
-        multiple = (before // _CLOCK_EVERY + 1) * _CLOCK_EVERY
-        if self.nodes >= multiple or self.nodes > self.node_limit:
-            end = min(self.nodes, self.node_limit + 1)
-            if multiple <= end and time.monotonic() > self.deadline:
-                self.nodes, self.exceeded = multiple, True
-            elif self.nodes > self.node_limit:
-                self.nodes, self.exceeded = end, True
+        self.nodes += k
+        if self.nodes > self.node_limit:
+            self.nodes, self.exceeded = self.node_limit + 1, True
+        elif time.monotonic() > self.deadline:
+            self.exceeded = True
         return not self.exceeded
 
     def stop_reason(self) -> str:

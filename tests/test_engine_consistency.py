@@ -6,12 +6,13 @@ big-int fallback of the minor kernel.
 """
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from deltamod import _batch, exact, modularity
+from deltamod import _batch, exact, families, modularity
 from deltamod._batch import batched_det, colex_tables, colex_unrank, scan_dtype
 from deltamod.cli import run
 from deltamod.exact import det, det_cofactor, max_abs_full_rank_subdet, rank
@@ -219,8 +220,8 @@ class TestDecisionWitnessOrder:
             self._matches_naive_identity_scan(m)
 
     def test_identity_scan_row_by_row_matches_naive_scan_order(self, monkeypatch):
-        # with no room for a batch, every store level is built one row at a
-        # time, one matrix product per block
+        # with no room for a batch, every batch holds one row, and its matrix
+        # products, one per block, write straight into its store row
         caches = (modularity._blocks, modularity._store_layout)
         monkeypatch.setattr(modularity, "_BATCH_ENTRIES", 0)
         for f in caches:
@@ -525,11 +526,11 @@ class TestScanLimit:
 
     @staticmethod
     def _refused_at(monkeypatch, last, limit):
-        # 3 rows and 4 extras: the store holds 3*4 + 3*6 + 1*4 = 34 minors,
-        # its scratch C(4, 2) = 6 entries (a family's sum of several rows), and
-        # the larger batch is level 2's three rows, 3 * 2 * (4 + 2*6) = 96
-        # entries: 136 entries of the store's dtype. The rest rows of levels
-        # 2 and 3 add 6 + 4 = 10 entries of np.intp, 8 bytes each
+        # 3 rows and 4 extras: the store holds 3*4 + 3*6 + 1*4 = 34 minors.
+        # The larger scratch is level 2's batch of all three rows, each
+        # gathering 2 * (4 + 4) entries with an output row of C(4, 2) = 6:
+        # 3 * 22 = 66 entries, above a family's sum, 2 * 6 = 12, and level
+        # 3's one row, 3 * (4 + 6) = 30. 100 entries of the store's dtype
         m = IntMatrix.from_cols([[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, 1],
                                  [1, 2, 1], [1, 1, 2], last])
         monkeypatch.setattr(_batch, "MAX_SCAN_BYTES", limit)
@@ -539,9 +540,58 @@ class TestScanLimit:
             modularity_level(m)
 
     def test_identity_refusal_is_at_the_scan_byte_limit(self, monkeypatch):
-        # B = 5 and 3! * 5**3 = 750 < 2**31: int32, 136 * 4 + 10 * 8 = 624 bytes
-        self._refused_at(monkeypatch, [1, -1, 3], 624)
+        # B = 5 and 3! * 5**3 = 750 < 2**31: int32, 100 * 4 = 400 bytes
+        self._refused_at(monkeypatch, [1, -1, 3], 400)
 
     def test_int64_identity_refusal_is_at_the_scan_byte_limit(self, monkeypatch):
-        # B = 1002 and 3! * 1002**3 > 2**31: int64, 136 * 8 + 10 * 8 = 1168 bytes
-        self._refused_at(monkeypatch, [1, -1, 1000], 1168)
+        # B = 1002 and 3! * 1002**3 > 2**31: int64, 100 * 8 = 800 bytes
+        self._refused_at(monkeypatch, [1, -1, 1000], 800)
+
+    # A scan's Python objects (transversal lists, the set of built rows,
+    # array headers) are not priced: about 8 KiB for the tiered matrices
+    # and 19 KiB at rank 7.
+    UNPRICED_BYTES = 64 * 1024
+
+    def _peaks_within_price(self, monkeypatch, mats):
+        prices = []
+        check = _batch.check_scan_bytes
+
+        def spy(need, depth, n):
+            prices.append(need)
+            check(need, depth, n)
+
+        monkeypatch.setattr(_batch, "check_scan_bytes", spy)
+        for m in mats:
+            del prices[:]
+            want = modularity_level(m)  # fills the caches shared between scans
+            tracemalloc.start()
+            try:
+                got = modularity_level(m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert len(prices) == 2 and prices[0] == prices[1]
+            assert peak <= prices[1] + self.UNPRICED_BYTES
+
+    def _priced_inputs(self):
+        """The three dtype tiers, then the six delta 5, rank 7 constructions."""
+        rng = random.Random(3235)
+        yield from (TestDecisionWitnessOrder._tiered(rng, big) for big in (20, 800, 2 ** 21))
+        for lam in families.partitions(4):
+            yield families.build_A(5, lam, 7).matrix
+        yield families.build_A_lee(5, 7).matrix
+
+    def test_price_covers_what_a_scan_allocates(self, monkeypatch):
+        self._peaks_within_price(monkeypatch, self._priced_inputs())
+
+    def test_price_covers_a_scan_row_by_row(self, monkeypatch):
+        caches = (modularity._blocks, modularity._store_layout)
+        monkeypatch.setattr(modularity, "_BATCH_ENTRIES", 0)
+        for f in caches:
+            f.cache_clear()
+        try:
+            self._peaks_within_price(monkeypatch, list(self._priced_inputs())[:4])
+        finally:
+            for f in caches:
+                f.cache_clear()

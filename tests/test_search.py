@@ -15,7 +15,7 @@ from deltamod.intmatrix import IntMatrix, ShapeError
 from deltamod.modularity import is_delta_modular
 from deltamod.search import (SearchConfig, column_universe, hermite_bases,
                              max_columns_search, verify_is_feasible, _canonical,
-                             _basis_coords, _Budget, _CLOCK_EVERY, _coords,
+                             _basis_coords, _Budget, _coords,
                              _GeneralChecker, _grid_candidates, _orbit_minima, _PairRows)
 
 
@@ -253,8 +253,6 @@ class TestCertificates:
         cert = max_columns_search(SearchConfig(2, 4, "identity-anchored",
                                                time_limit_seconds=0.01))
         assert not cert.optimal and cert.stats["stop"] == "time-limit"
-        # the search stops at the clock reading that saw the deadline pass
-        assert cert.nodes_explored % _CLOCK_EVERY == 0
         assert verify_is_feasible(cert.best_matrix, 2)
 
     @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
@@ -262,14 +260,10 @@ class TestCertificates:
         with pytest.raises(ValueError, match="limits must be positive"):
             SearchConfig(2, 3, "identity-anchored", time_limit_seconds=limit)
 
-    def test_budget_counts_nodes_exactly_and_reads_clock_in_blocks(self):
+    def test_budget_counts_nodes_exactly(self):
         by_nodes = _Budget(node_limit=5, time_limit=600.0)
         assert [by_nodes.charge(1) for _ in range(6)] == [True] * 5 + [False]
-        by_time = _Budget(node_limit=10 ** 8, time_limit=1e-9)
-        time.sleep(0.001)
-        assert all(by_time.charge(1) for _ in range(_CLOCK_EVERY - 1))
-        assert not by_time.charge(1)
-        assert by_time.nodes == _CLOCK_EVERY and by_time.exceeded
+        assert by_nodes.nodes == 6 and by_nodes.stop_reason() == "node-limit"
 
     def test_charge_straddling_the_node_limit_stops_one_past_it(self):
         budget = _Budget(node_limit=10, time_limit=600.0)
@@ -277,22 +271,25 @@ class TestCertificates:
         assert not budget.charge(7)
         assert budget.nodes == 11 and budget.stop_reason() == "node-limit"
 
-    def test_charge_past_the_deadline_stops_at_the_clock_multiple(self):
+    def test_charge_after_the_deadline_stops_and_counts_its_block(self):
         budget = _Budget(node_limit=10 ** 8, time_limit=1e-9)
         time.sleep(0.001)
-        assert budget.charge(_CLOCK_EVERY - 3)
-        assert not budget.charge(3 * _CLOCK_EVERY)
-        assert budget.nodes == _CLOCK_EVERY and budget.stop_reason() == "time-limit"
-        # the multiple comes before the node limit that the same block crosses
-        both = _Budget(node_limit=_CLOCK_EVERY + 5, time_limit=1e-9)
+        assert not budget.charge(1)
+        assert budget.nodes == 1 and budget.stop_reason() == "time-limit"
+        block = _Budget(node_limit=10 ** 8, time_limit=1e-9)
         time.sleep(0.001)
-        assert not both.charge(3 * _CLOCK_EVERY)
-        assert both.nodes == _CLOCK_EVERY and both.stop_reason() == "time-limit"
+        assert not block.charge(3000)
+        assert block.nodes == 3000 and block.stop_reason() == "time-limit"
+        # a block that also crosses the node limit stops one past it
+        both = _Budget(node_limit=1000, time_limit=1e-9)
+        time.sleep(0.001)
+        assert not both.charge(3000)
+        assert both.nodes == 1001 and both.stop_reason() == "node-limit"
 
     def test_charge_before_the_deadline_counts_the_whole_block(self):
         budget = _Budget(node_limit=10 ** 8, time_limit=600.0)
-        assert budget.charge(5 * _CLOCK_EVERY + 7)
-        assert budget.nodes == 5 * _CLOCK_EVERY + 7 and budget.stop_reason() == "exhausted"
+        assert budget.charge(5127)
+        assert budget.nodes == 5127 and budget.stop_reason() == "exhausted"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -584,13 +581,13 @@ _M23 = PINNED_SEARCHES[1][4]
 _FIRST_NODE = {4: [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, -1]],
                3: [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, -1]]}
 
-# Node-limited runs whose limit falls on a clock multiple (1024) or next to
-# it, or whose last node lies inside a run of skips: of pair-filter skips
-# (the last two limits of the first three configurations; at (2, 3) hnf, in
-# a basis after the unit basis), or of orbit skips (identity (2, 3), in the
-# tail of the top level). The skipped candidates are charged in blocks, and
-# each block must stop on the same node as one charge per node. ``skips`` is
-# (pair-filter skips, orbit skips).
+# Node-limited runs whose limit is small or near 1024, or whose last node
+# lies inside a run of skips: of pair-filter skips (the last two limits of
+# the first three configurations; at (2, 3) hnf, in a basis after the unit
+# basis), or of orbit skips (identity (2, 3), in the tail of the top
+# level). The skipped candidates are charged in blocks, and each block must
+# stop on the same node as one charge per node. ``skips`` is (pair-filter
+# skips, orbit skips).
 NODE_LIMITED = [
     ((2, 4, "identity-anchored"), 1, 5, 2, (0, 0), _FIRST_NODE[4]),
     ((2, 4, "identity-anchored"), 1023, 13, 1024, (890, 0), _M24),
