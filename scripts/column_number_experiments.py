@@ -10,10 +10,11 @@ goes to stderr, so stdout is the same on every run. The counts are:
     bound 1, rank 2, 3 and 4: 3, 6 and 10 (Heller's C(r+1, 2))
     bound 2, rank 3, identity class and all classes: 9
     bound 3, rank 3, identity class and all classes: 11, the sporadic
-        matrix's count, about a second each
+        matrix's count, about 0.1 s each
     bound 3, rank 3, greedy from the sporadic matrix: 11, not proved
-    bound 4, rank 3, identity class: 13, one more than the family count
-        12, in 53,576,135 nodes, about 10 s
+    bound 4, rank 3, identity class and all classes: 13, one more than the
+        family count 12, in 14,551,639 and 16,480,375 nodes, about 3 s
+        and 4 s
 
 Usage: PYTHONPATH=src python scripts/column_number_experiments.py
 """
@@ -27,17 +28,18 @@ from deltamod import SearchConfig, max_columns_search, sporadic_rank3
 # name, (delta, rank, mode), expected (count, optimal, nodes)
 EXPECTED = [
     ("bound 1, rank 2", (1, 2, "hnf-exhaustive"), (3, True, 2)),
-    ("bound 1, rank 3", (1, 3, "hnf-exhaustive"), (6, True, 62)),
-    ("bound 1, rank 4", (1, 4, "hnf-exhaustive"), (10, True, 11153)),
-    ("bound 2, rank 3 (identity class)", (2, 3, "identity-anchored"), (9, True, 17181)),
-    ("bound 2, rank 3 (all classes)", (2, 3, "hnf-exhaustive"), (9, True, 18916)),
+    ("bound 1, rank 3", (1, 3, "hnf-exhaustive"), (6, True, 33)),
+    ("bound 1, rank 4", (1, 4, "hnf-exhaustive"), (10, True, 5945)),
+    ("bound 2, rank 3 (identity class)", (2, 3, "identity-anchored"), (9, True, 5222)),
+    ("bound 2, rank 3 (all classes)", (2, 3, "hnf-exhaustive"), (9, True, 5479)),
     ("bound 3, rank 3 (identity class)", (3, 3, "identity-anchored"),
-     (11, True, 1684388)),
-    ("bound 3, rank 3 (all classes)", (3, 3, "hnf-exhaustive"), (11, True, 1907917)),
+     (11, True, 362598)),
+    ("bound 3, rank 3 (all classes)", (3, 3, "hnf-exhaustive"), (11, True, 390406)),
     ("bound 3, rank 3 (greedy from sporadic)", (3, 3, "greedy-seeded"),
      (11, False, 145)),
     ("bound 4, rank 3 (identity class)", (4, 3, "identity-anchored"),
-     (13, True, 53576135)),
+     (13, True, 14551639)),
+    ("bound 4, rank 3 (all classes)", (4, 3, "hnf-exhaustive"), (13, True, 16480375)),
 ]
 
 

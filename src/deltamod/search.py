@@ -46,13 +46,14 @@ vectorised product over the later candidates against the cap delta * d.
 The depth-first search carries the AND of the rows of the chosen
 candidates and skips a candidate whose bit is clear without asking the
 exact checker: a superset of an infeasible set is infeasible, so that call
-could only have said no. Rows are built the first time their candidate is
-accepted. The search steps from one set bit of the AND to the next. A
-node is still one candidate examined: the skipped candidates between two
-set bits, up to the first index where the count bound fails, are charged
-to the node budget in one block, which stops on the same node as charging
-them one by one. So every search visits the same nodes in the same order,
-with the same count, limits and certificate, as without the filter.
+could only have said no. Rows are built when the colouring bound below
+first needs them. The search steps from one set bit of the AND to the
+next. A node is still one candidate examined: the skipped candidates
+between two set bits, up to the first index where the count bound fails,
+are charged to the node budget in one block, which stops on the same node
+as charging them one by one. So every search visits the same nodes in the
+same order, with the same count, limits and certificate, as without the
+filter.
 
 Orbit minima. Over the unit basis (identity-anchored mode, and
 hnf-exhaustive's first basis), the first chosen candidate ranges only over
@@ -78,6 +79,36 @@ pair-filter skip and counted as an orbit skip; on a budget that never
 leaves the first top-level subtree, nothing changes, since the first
 candidate is always an orbit minimum (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 1998, for the general method).
+
+Colouring bound. Each frame of the depth-first search greedily colours
+its candidates, from the last index down: a candidate joins the first
+class with no member it is compatible with, or opens a new class. Its row
+holds only later candidates, and every member of a class is later, so the
+members of a class are pairwise incompatible, and a feasible selection,
+pairwise compatible, takes at most one of each. A frame's candidates are
+the AND it entered with; at the top level they are every candidate, since
+a child of an orbit minimum walks its whole row. With room = best - (seed
+count + chosen), a candidate j is cut, with its subtree, when the frame's
+candidates from j on fill at most ``room`` classes: no selection through
+j can then be larger than ``best``. A candidate's class depends only on
+the candidates above it, so the colouring is stable under extension: a
+frame colours lazily, stops once the classes outnumber ``room``, resumes
+when ``best``, and with it ``room``, rises, and never colours below the
+candidate it has reached. The n - j candidates from j on fill at most
+n - j classes, so the cut never lies past the count bound's (Ostergard,
+"A fast algorithm for the maximum clique problem", Discrete Appl. Math.
+2002; Tomita and Seki, DMTCS 2003).
+
+The reported matrix cannot change. A candidate is cut only when its
+subtree holds no selection larger than ``best``, and only a strictly
+larger selection replaces the incumbent. So ``best`` and the incumbent
+change at the same selections, in the same order, as without the cut,
+and the first maximum in search order is reported either way; a search
+that exhausts its space without the cut exhausts it with the cut. A node
+is still one candidate examined: a frame still charges every candidate up
+to where the count bound fails, the cut ones in that block like the pair
+filter's skips, counted as colour skips. Only the cut subtrees are no
+longer visited.
 """
 
 from __future__ import annotations
@@ -285,73 +316,141 @@ def _coords(adj, col) -> tuple[int, ...]:
     return tuple(sum(a * v for a, v in zip(row, col)) for row in adj)
 
 
+# ``_PairRows`` builds a block of rows at a time, at most this many minors
+# on one row pair at once
+_PAIR_BLOCK_ENTRIES = 1 << 13
+
+
 class _PairRows:
     """Lazy pairwise-compatibility bitsets over the candidates of one basis.
 
     ``rows[i]`` is a Python int whose bit j (j > i) is set iff the seed
     basis B plus candidates i and j is delta-modular: iff every 2 x 2 minor
     of their grid coordinates [y_i y_j] (rows of ``ys``) is within ``cap`` =
-    delta * |det B|. A row takes the minors on every row pair a < b with
-    every later candidate at once, in int64: |y| <= delta < 2**25 (the grid
-    refusal keeps 16 * (2 * delta + 1) within 2**30), so every minor is
-    below 2**51.
+    delta * |det B|. Rows are built for the candidates the colouring bound
+    colours, which are most of them, so a missing row is built with the
+    other rows of its block: each row pair a < b is one int64 product of
+    the block's candidates with every later one, at most
+    ``_PAIR_BLOCK_ENTRIES`` minors, never one n x n x C(r, 2) array. In
+    int64: |y| <= delta < 2**25 (the grid refusal keeps 16 * (2 * delta + 1)
+    within 2**30), so every minor is below 2**51.
     """
 
     def __init__(self, ys: np.ndarray, cap: int):
         self.ys = ys
         self.cap = cap
-        self.a, self.b = np.triu_indices(ys.shape[1], 1)
+        self.pairs = list(zip(*np.triu_indices(ys.shape[1], 1)))
+        self.block = max(1, _PAIR_BLOCK_ENTRIES // max(1, len(ys)))
         self._rows: list[int | None] = [None] * len(ys)
 
     def __getitem__(self, i: int) -> int:
         row = self._rows[i]
         if row is None:
-            y, later, a, b = self.ys[i], self.ys[i + 1:], self.a, self.b
-            minors = y[a] * later[:, b] - y[b] * later[:, a]
-            ok = (abs(minors) <= self.cap).all(axis=1)
-            row = self._rows[i] = _bitset(ok) << (i + 1)
+            self._build(i - i % self.block)
+            row = self._rows[i]
         return row
+
+    def _build(self, lo: int) -> None:
+        """Rows lo to lo + block - 1; row i keeps the later candidates j > i."""
+        y = self.ys[lo:lo + self.block, None]
+        later = self.ys[None, lo + 1:]
+        ok = np.ones((len(y), later.shape[1]), dtype=bool)
+        for a, b in self.pairs:
+            ok &= abs(y[..., a] * later[..., b] - y[..., b] * later[..., a]) <= self.cap
+        packed = np.packbits(ok, axis=1, bitorder="little")
+        for k in range(len(y)):
+            # bit t of the packed row is candidate lo + 1 + t; keep t >= k
+            bits = int.from_bytes(packed[k].tobytes(), "little")
+            self._rows[lo + k] = bits >> k << (lo + k + 1)
+
+
+def _colour_cut(rows, todo: int, classes: list[int], room: int, floor: int) -> tuple[int, int]:
+    """Colour more candidates for the colouring bound; returns (cut, todo).
+
+    Takes the candidates of ``todo`` at or above ``floor`` from the last
+    index down. Each joins the first of ``classes`` with no member that its
+    row marks compatible, or opens a new class; it stops once the classes
+    outnumber ``room``. A row holds only later candidates, all coloured
+    before it, so the members of a class are pairwise incompatible.
+    Returns ``todo`` less the coloured candidates, and ``cut``: one past
+    the candidate that opened class ``room`` + 1, or ``floor`` if none did.
+    The coloured candidates at or above ``cut`` lie in at most ``room``
+    classes, so a selection among them has at most ``room`` members.
+    """
+    while todo >> floor:
+        v = todo.bit_length() - 1
+        bit = 1 << v
+        todo ^= bit
+        row = rows[v]
+        for k, cls in enumerate(classes):
+            if not row & cls:
+                classes[k] = cls | bit
+                break
+        else:
+            classes.append(bit)
+            if len(classes) > room:
+                return v + 1, todo
+    return floor, todo
 
 
 def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget, first):
-    """Depth-first max subset with count bound; returns (best, selection,
-    orbit skips).
+    """Depth-first max subset with the colouring bound; returns (best,
+    selection, orbit skips, colour skips).
 
     ``live`` is the AND of the compatibility rows of the chosen candidates,
     and ``first`` at the top level, the candidates a selection may start
-    from. Only its set bits are offered to ``try_add``; the candidates
-    between them, which ``try_add`` would reject or which start no new
-    orbit, are still nodes and are charged to the budget in one block, up
-    to the first index where the count bound fails. Each node charged at
-    the top level and not tried, other than one that exceeds the budget,
-    is an orbit skip.
+    from. Each frame colours its candidates lazily with ``_colour_cut``:
+    ``live`` as it entered, or at the top level every candidate, since a
+    child walks all of rows[j]. A set bit of ``live`` is offered to
+    ``try_add`` unless it is at or past the cut. The candidates between
+    them, which ``try_add`` would reject or which start no new orbit, are
+    still nodes, and so are the cut ones: each frame charges its nodes in
+    blocks, up to the first index where the count bound fails. Each node
+    charged at the top level that is neither tried nor cut, other than one
+    that exceeds the budget, is an orbit skip.
     """
     best = seed_count
     best_sel: tuple[int, ...] = ()
     sel: list[int] = []
     n = len(cands)
-    orbit_skips = 0
+    orbit_skips = colour_skips = 0
 
-    def charge(k: int, tried: bool) -> bool:
+    def charge_tail(i: int, stop: int, live: int) -> None:
+        """Charge nodes i to stop - 1, the frame's last block; the live ones are cut."""
+        nonlocal orbit_skips, colour_skips
+        before = budget.nodes
+        ok = budget.charge(stop - i)
+        seen = budget.nodes - before - (not ok)
+        skipped = (live & ((1 << (i + seen)) - 1)).bit_count()
+        colour_skips += skipped
+        if not sel:
+            orbit_skips += seen - skipped
+
+    def charge(k: int) -> bool:
+        """Charge k nodes, the last of them a candidate to try."""
         nonlocal orbit_skips
         if sel:
             return budget.charge(k)
         before = budget.nodes
         ok = budget.charge(k)
-        orbit_skips += budget.nodes - before - (tried or not ok)
+        orbit_skips += budget.nodes - before - 1
         return ok
 
-    def rec(i: int, live: int) -> None:
+    def rec(i: int, live: int, todo: int) -> None:
         nonlocal best, best_sel
+        classes: list[int] = []
         while True:
-            stop = n + seed_count + len(sel) - best  # the count bound fails from here
+            room = best - seed_count - len(sel)
+            if len(classes) <= room:  # on entry, and after best rose
+                cut, todo = _colour_cut(rows, todo, classes, room, i)
+            stop = n - room  # the count bound fails from here
             low = live & -live
             j = low.bit_length() - 1 if live else n
-            if j >= stop:
+            if j >= cut or j >= stop:
                 if stop > i:
-                    charge(stop - i, False)
+                    charge_tail(i, stop, live)
                 return
-            if not charge(j + 1 - i, True):
+            if not charge(j + 1 - i):
                 return
             live ^= low
             i = j + 1
@@ -361,14 +460,15 @@ def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget, first):
                     best = seed_count + len(sel)
                     best_sel = tuple(sel)
                 # ``first`` limits only the top level: a child walks all of rows[j]
-                rec(i, live & rows[j] if len(sel) > 1 else rows[j])
+                child = live & rows[j] if len(sel) > 1 else rows[j]
+                rec(i, child, child)
                 undo()
                 sel.pop()
                 if budget.exceeded:
                     return
 
-    rec(0, first)
-    return best, best_sel, orbit_skips
+    rec(0, first, (1 << n) - 1)
+    return best, best_sel, orbit_skips, colour_skips
 
 
 class _GeneralChecker(IdentityAnchoredChecker):
@@ -385,22 +485,26 @@ class _GeneralChecker(IdentityAnchoredChecker):
 
 
 def _search_stats(budget: _Budget, checkers: list[tuple[str, object]],
-                  orbit_skips: int) -> dict:
-    """Nodes, pair-filter and orbit skips, per-checker work and the stop reason.
+                  orbit_skips: int, colour_skips: int) -> dict:
+    """Nodes, pair-filter, orbit and colour skips, per-checker work and the
+    stop reason.
 
     Every node charged within the budget was skipped by the pair filter,
-    was skipped at the top level as no orbit minimum, or called
-    ``try_add``; the one node whose charge exceeded the budget did none of
-    these. The greedy mode lists no checker and skips nothing.
+    was skipped at the top level as no orbit minimum, was cut by the
+    colouring bound, or called ``try_add``; the one node whose charge
+    exceeded the budget did none of these. The greedy mode lists no
+    checker and skips nothing.
     """
     per_checker: dict[str, Counter] = {}
     for name, c in checkers:
         per_checker.setdefault(name, Counter()).update(c.stats())
     calls = sum(e["tryAdd"] for e in per_checker.values())
-    skips = budget.nodes - calls - int(budget.exceeded) - orbit_skips if checkers else 0
+    skips = (budget.nodes - calls - int(budget.exceeded) - orbit_skips - colour_skips
+             if checkers else 0)
     return {"nodes": budget.nodes,
             "pairFilterSkips": skips,
             "orbitSkips": orbit_skips,
+            "colourSkips": colour_skips,
             "checkers": {name: dict(e) for name, e in per_checker.items()},
             "stop": budget.stop_reason()}
 
@@ -421,7 +525,7 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
     ceiling = delta * delta * comb(r + 1, 2)
     budget = _Budget(config.node_limit, config.time_limit_seconds)
     checkers: list[tuple[str, object]] = []
-    orbit_skips = 0
+    orbit_skips = colour_skips = 0
 
     if config.mode != "greedy-seeded":
         best = 0
@@ -433,10 +537,11 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
             checkers.append(("identity-anchored" if d == 1 else "general", checker))
             # d = 1 only for the unit basis, whose grid signed row permutations keep
             first = _bitset(_orbit_minima(ys)) if d == 1 else (1 << len(ys)) - 1
-            h_best, sel, skips = _branch_and_bound(
+            h_best, sel, skips, cuts = _branch_and_bound(
                 r, list(map(tuple, ys.tolist())), _PairRows(ys, delta * d),
                 checker.try_add, checker.pop, budget, first)
             orbit_skips += skips
+            colour_skips += cuts
             h_matrix = IntMatrix.from_cols(h.columns() + cs[list(sel)].tolist())
             if h_best > best or (h_best == best and (
                     matrix is None or h_matrix.entries < matrix.entries)):
@@ -473,7 +578,7 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
         optimal = False
 
     cert = SearchCertificate(best, matrix, optimal, budget.nodes, ceiling,
-                             _search_stats(budget, checkers, orbit_skips))
+                             _search_stats(budget, checkers, orbit_skips, colour_skips))
     if not verify_is_feasible(cert.best_matrix, delta):
         raise RuntimeError("search produced an infeasible certificate")
     if cert.best_count != cert.best_matrix.cols:

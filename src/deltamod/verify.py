@@ -37,7 +37,7 @@ from .lines import (distinguishing_report, line_length_multiset, nu_formula,
                     recover_partition)
 from .modularity import (append_zero_sum_row, drop_last_row, is_delta_modular,
                          modularity_level)
-from .search import SearchConfig, max_columns_search
+from .search import SearchConfig, max_columns_search, verify_is_feasible
 
 # Published admissible single extension columns for bound 3 and admissible
 # pair blocks (each column implicitly carries a 1 in its own dedicated row).
@@ -296,6 +296,17 @@ def _check_search_bimodular() -> str:
     return "column number 9 at bound 2, rank 3, exhaustive"
 
 
+def _check_search_sporadic_optimal() -> str:
+    cert = max_columns_search(SearchConfig(3, 3, "hnf-exhaustive",
+                                           time_limit_seconds=1700))
+    _check_search(cert, 11)
+    m = sporadic_rank3()
+    feasible = verify_is_feasible(m, 3)
+    _require(m.cols == 11 and feasible,
+             f"the sporadic matrix has {m.cols} columns, feasible at bound 3: {feasible}")
+    return "column number 11 at bound 3, rank 3, over every class; the sporadic matrix attains it"
+
+
 def _check_search_greedy() -> str:
     cert = max_columns_search(SearchConfig(3, 3, "greedy-seeded",
                                            seed_matrix=sporadic_rank3()))
@@ -328,6 +339,7 @@ _FULL_CHECKS: tuple[tuple[str, Callable[[], str]], ...] = _FAST_CHECKS + (
     ("distinguish-full", lambda: _distinguish_sweep([(2, 3), (3, 4), (4, 5), (5, 6)])),
     ("search-bimodular", _check_search_bimodular),
     ("search-greedy-sporadic", _check_search_greedy),
+    ("search-sporadic-optimal", _check_search_sporadic_optimal),
 )
 
 

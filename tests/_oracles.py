@@ -107,6 +107,19 @@ def naive_long_lines(m: IntMatrix, e: int) -> list[tuple[tuple[int, ...], int]]:
     return sorted(lines)
 
 
+def naive_max_clique(rows, vertices) -> int:
+    """The most of ``vertices`` that are pairwise adjacent, where bit w of
+    ``rows[v]`` (w > v) marks the edge vw, by trying every subset."""
+    vs = sorted(vertices)
+    best = 0
+    for k in range(1, len(vs) + 1):
+        if not any(all(rows[v] >> w & 1 for v, w in combinations(pick, 2))
+                   for pick in combinations(vs, k)):
+            break  # a subset of a clique is a clique
+        best = k
+    return best
+
+
 def naive_parallel_pairs(m: IntMatrix) -> tuple[tuple[int, int], ...]:
     """Every pair i < j of parallel columns, by ``is_parallel`` on all pairs."""
     cols = m.columns()

@@ -98,7 +98,10 @@ def test_criterion_10_search_values():
                    ("search-bimodular",
                     "column number 9 at bound 2, rank 3, exhaustive"),
                    ("search-greedy-sporadic",
-                    "greedy extension of the sporadic matrix reaches 11"))
+                    "greedy extension of the sporadic matrix reaches 11"),
+                   ("search-sporadic-optimal",
+                    "column number 11 at bound 3, rank 3, over every class; "
+                    "the sporadic matrix attains it"))
 
 
 def test_criterion_11_verify_suite_determinism(capsys):

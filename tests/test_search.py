@@ -1,7 +1,7 @@
 import random
 import time
 from itertools import combinations, permutations, product
-from math import prod
+from math import inf, prod
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from deltamod.families import (build_A, build_A_lee, expected_count, partitions,
                                sporadic_rank3)
 from deltamod.intmatrix import IntMatrix, ShapeError
 from deltamod.modularity import is_delta_modular
+from _oracles import naive_max_clique
 from deltamod.search import (SearchConfig, column_universe, hermite_bases,
                              max_columns_search, verify_is_feasible, _canonical,
                              _basis_coords, _Budget, _coords,
@@ -528,24 +529,32 @@ class TestOrbitMinima:
         SearchConfig(2, 3, "identity-anchored"), SearchConfig(2, 3, "hnf-exhaustive"),
         SearchConfig(5, 2, "hnf-exhaustive")], ids=lambda c: f"{c.delta}-{c.rank}-{c.mode}")
     def test_pruned_and_unpruned_searches_agree(self, config, monkeypatch):
-        pruned = max_columns_search(config)
-        monkeypatch.setattr(search, "_orbit_minima", lambda ys: np.ones(len(ys), dtype=bool))
-        full = max_columns_search(config)
-        assert full.stats["orbitSkips"] == 0
-        assert (pruned.best_count, pruned.optimal) == (full.best_count, full.optimal)
-        assert pruned.optimal and pruned.best_matrix == full.best_matrix
-        assert pruned.nodes_explored < full.nodes_explored
+        # with the colouring bound, and then with the count bound alone, where
+        # the orbit cut must save nodes by itself
+        for colour in (True, False):
+            if not colour:
+                monkeypatch.setattr(search, "_colour_cut",
+                                    lambda rows, todo, classes, room, floor: (inf, todo))
+            pruned = max_columns_search(config)
+            with monkeypatch.context() as m:
+                m.setattr(search, "_orbit_minima", lambda ys: np.ones(len(ys), dtype=bool))
+                full = max_columns_search(config)
+            assert full.stats["orbitSkips"] == 0
+            assert (pruned.best_count, pruned.optimal) == (full.best_count, full.optimal)
+            assert pruned.optimal and pruned.best_matrix == full.best_matrix
+            assert pruned.nodes_explored <= full.nodes_explored
+            assert colour or pruned.nodes_explored < full.nodes_explored
 
 
 # Outputs of the benchmark's four search configurations and of small proved
 # searches; the pair filter, the budget and the checkers must leave every
 # node, count and certificate unchanged. The node counts of the proved
-# searches are those with first-level orbit minima.
+# searches are those with first-level orbit minima and the colouring bound.
 PINNED_SEARCHES = [
-    (SearchConfig(2, 3, "identity-anchored"), 9, True, 17181,
+    (SearchConfig(2, 3, "identity-anchored"), 9, True, 5222,
      [[1, 0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 1, -1, -1, -1, -2],
       [0, 0, 1, -1, 1, -1, 0, 1, 0]]),
-    (SearchConfig(2, 3, "hnf-exhaustive"), 9, True, 18916,
+    (SearchConfig(2, 3, "hnf-exhaustive"), 9, True, 5479,
      [[1, 0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 1, -1, -1, -1, -2],
       [0, 0, 1, -1, 1, -1, 0, 1, 0]]),
     (SearchConfig(2, 4, "identity-anchored", node_limit=20000), 13, False, 20001,
@@ -556,19 +565,19 @@ PINNED_SEARCHES = [
     (SearchConfig(3, 3, "identity-anchored", node_limit=30000), 11, False, 30001,
      [[1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1], [0, 1, 0, 1, 1, -1, -1, -1, 1, -2, -1],
       [0, 0, 1, -1, 1, -1, 0, 1, -2, 1, 2]]),
-    (SearchConfig(1, 3, "identity-anchored"), 6, True, 62,
+    (SearchConfig(1, 3, "identity-anchored"), 6, True, 33,
      [[1, 0, 0, 0, 1, 1], [0, 1, 0, 1, -1, -1], [0, 0, 1, -1, 0, 1]]),
-    (SearchConfig(2, 2, "identity-anchored"), 4, True, 18,
+    (SearchConfig(2, 2, "identity-anchored"), 4, True, 12,
      [[1, 0, 1, 1], [0, 1, -1, 1]]),
-    (SearchConfig(3, 2, "identity-anchored"), 6, True, 196,
+    (SearchConfig(3, 2, "identity-anchored"), 6, True, 58,
      [[1, 0, 1, 1, 1, 2], [0, 1, -1, 1, -2, -1]]),
-    (SearchConfig(4, 2, "identity-anchored"), 6, True, 851,
+    (SearchConfig(4, 2, "identity-anchored"), 6, True, 271,
      [[1, 0, 1, 1, 1, 1], [0, 1, -1, 1, -2, 2]]),
-    (SearchConfig(3, 2, "hnf-exhaustive"), 6, True, 220,
+    (SearchConfig(3, 2, "hnf-exhaustive"), 6, True, 76,
      [[1, 0, 1, 1, 1, 2], [0, 1, -1, 1, -2, -1]]),
-    (SearchConfig(4, 2, "hnf-exhaustive"), 6, True, 1046,
+    (SearchConfig(4, 2, "hnf-exhaustive"), 6, True, 346,
      [[1, 0, 1, 1, 1, 1], [0, 1, -1, 1, -2, 2]]),
-    (SearchConfig(5, 2, "hnf-exhaustive"), 8, True, 12321,
+    (SearchConfig(5, 2, "hnf-exhaustive"), 8, True, 1272,
      [[1, 0, 1, 1, 1, 1, 2, 2], [0, 1, -1, 1, -2, 2, -1, 1]]),
 ]
 
@@ -583,31 +592,35 @@ _FIRST_NODE = {4: [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 
 
 # Node-limited runs whose limit is small or near 1024, or whose last node
 # lies inside a run of skips: of pair-filter skips (the last two limits of
-# the first three configurations; at (2, 3) hnf, in a basis after the unit
-# basis), or of orbit skips (identity (2, 3), in the tail of the top
-# level). The skipped candidates are charged in blocks, and each block must
-# stop on the same node as one charge per node. ``skips`` is (pair-filter
-# skips, orbit skips).
+# the first two configurations, and at (2, 3) hnf, 5326, in a basis after
+# the unit basis), of colour skips ((2, 3) hnf at 1023-1025 and at 5472),
+# or of orbit skips (identity (2, 3) at 5210, in the tail of the top level;
+# at 5197 that tail block stops inside a run of colour skips). The skipped
+# candidates are charged in blocks, and each block must stop on the same
+# node as one charge per node. ``skips`` is (pair-filter skips, orbit
+# skips, colour skips).
 NODE_LIMITED = [
-    ((2, 4, "identity-anchored"), 1, 5, 2, (0, 0), _FIRST_NODE[4]),
-    ((2, 4, "identity-anchored"), 1023, 13, 1024, (890, 0), _M24),
-    ((2, 4, "identity-anchored"), 1024, 13, 1025, (891, 0), _M24),
-    ((2, 4, "identity-anchored"), 1025, 13, 1026, (892, 0), _M24),
-    ((2, 4, "identity-anchored"), 150, 13, 151, (107, 0), _M24),
-    ((2, 4, "identity-anchored"), 31226, 13, 31227, (29342, 0), _M24),
-    ((3, 3, "identity-anchored"), 1, 4, 2, (0, 0), _FIRST_NODE[3]),
-    ((3, 3, "identity-anchored"), 1023, 10, 1024, (895, 0), _M33),
-    ((3, 3, "identity-anchored"), 1024, 10, 1025, (896, 0), _M33),
-    ((3, 3, "identity-anchored"), 1025, 10, 1026, (897, 0), _M33),
-    ((3, 3, "identity-anchored"), 200, 10, 201, (149, 0), _M33),
-    ((3, 3, "identity-anchored"), 29375, 11, 29376, (27517, 0), _M33_SPORADIC),
-    ((2, 3, "hnf-exhaustive"), 1, 4, 2, (0, 0), _FIRST_NODE[3]),
-    ((2, 3, "hnf-exhaustive"), 1023, 9, 1024, (880, 0), _M23),
-    ((2, 3, "hnf-exhaustive"), 1024, 9, 1025, (881, 0), _M23),
-    ((2, 3, "hnf-exhaustive"), 1025, 9, 1026, (882, 0), _M23),
-    ((2, 3, "hnf-exhaustive"), 40, 9, 41, (29, 0), _M23),
-    ((2, 3, "hnf-exhaustive"), 18422, 9, 18423, (16397, 35), _M23),
-    ((2, 3, "identity-anchored"), 17169, 9, 17170, (15581, 23), _M23),
+    ((2, 4, "identity-anchored"), 1, 5, 2, (0, 0, 0), _FIRST_NODE[4]),
+    ((2, 4, "identity-anchored"), 1023, 13, 1024, (890, 0, 2), _M24),
+    ((2, 4, "identity-anchored"), 1024, 13, 1025, (891, 0, 2), _M24),
+    ((2, 4, "identity-anchored"), 1025, 13, 1026, (892, 0, 2), _M24),
+    ((2, 4, "identity-anchored"), 150, 13, 151, (107, 0, 0), _M24),
+    ((2, 4, "identity-anchored"), 31226, 13, 31227, (29282, 0, 163), _M24),
+    ((3, 3, "identity-anchored"), 1, 4, 2, (0, 0, 0), _FIRST_NODE[3]),
+    ((3, 3, "identity-anchored"), 1023, 10, 1024, (895, 0, 1), _M33),
+    ((3, 3, "identity-anchored"), 1024, 10, 1025, (896, 0, 1), _M33),
+    ((3, 3, "identity-anchored"), 1025, 10, 1026, (897, 0, 1), _M33),
+    ((3, 3, "identity-anchored"), 200, 10, 201, (149, 0, 0), _M33),
+    ((3, 3, "identity-anchored"), 29375, 11, 29376, (26892, 0, 1059), _M33_SPORADIC),
+    ((2, 3, "hnf-exhaustive"), 1, 4, 2, (0, 0, 0), _FIRST_NODE[3]),
+    ((2, 3, "hnf-exhaustive"), 1023, 9, 1024, (854, 0, 66), _M23),
+    ((2, 3, "hnf-exhaustive"), 1024, 9, 1025, (854, 0, 67), _M23),
+    ((2, 3, "hnf-exhaustive"), 1025, 9, 1026, (854, 0, 68), _M23),
+    ((2, 3, "hnf-exhaustive"), 40, 9, 41, (29, 0, 0), _M23),
+    ((2, 3, "hnf-exhaustive"), 5326, 9, 5327, (4217, 35, 690), _M23),
+    ((2, 3, "hnf-exhaustive"), 5472, 9, 5473, (4265, 35, 761), _M23),
+    ((2, 3, "identity-anchored"), 5210, 9, 5211, (4180, 23, 641), _M23),
+    ((2, 3, "identity-anchored"), 5197, 9, 5198, (4180, 11, 640), _M23),
 ]
 
 
@@ -617,7 +630,8 @@ NODE_LIMITED = [
 def test_node_limited_search_outputs(case, limit, count, nodes, skips, entries):
     cert = max_columns_search(SearchConfig(*case, node_limit=limit))
     assert (cert.best_count, cert.optimal, cert.nodes_explored) == (count, False, nodes)
-    assert (cert.stats["pairFilterSkips"], cert.stats["orbitSkips"]) == skips
+    assert (cert.stats["pairFilterSkips"], cert.stats["orbitSkips"],
+            cert.stats["colourSkips"]) == skips
     assert cert.stats["stop"] == "node-limit"
     assert cert.best_matrix == IntMatrix.from_rows(entries)
 
@@ -637,27 +651,30 @@ def test_pinned_search_outputs(config, count, optimal, nodes, entries):
 # the node limit, and of the greedy mode.
 PINNED_STATS = [
     (SearchConfig(2, 3, "hnf-exhaustive"),
-     {"nodes": 18916, "pairFilterSkips": 16743, "orbitSkips": 35, "stop": "exhausted",
+     {"nodes": 5479, "pairFilterSkips": 4265, "orbitSkips": 35, "colourSkips": 768,
+      "stop": "exhausted",
       "checkers": {
-         "identity-anchored": {"tryAdd": 1565, "accepted": 833,
-                               "minorHits": 1086, "minorFills": 1010},
-         "general": {"tryAdd": 573, "accepted": 538,
-                     "minorHits": 1244, "minorFills": 1047}}}),
+         "identity-anchored": {"tryAdd": 366, "accepted": 158,
+                               "minorHits": 172, "minorFills": 123},
+         "general": {"tryAdd": 45, "accepted": 38,
+                     "minorHits": 155, "minorFills": 107}}}),
     (SearchConfig(5, 2, "hnf-exhaustive"),
-     {"nodes": 12321, "pairFilterSkips": 11022, "orbitSkips": 22, "stop": "exhausted",
+     {"nodes": 1272, "pairFilterSkips": 774, "orbitSkips": 22, "colourSkips": 368,
+      "stop": "exhausted",
       "checkers": {
-         "identity-anchored": {"tryAdd": 549, "accepted": 549,
+         "identity-anchored": {"tryAdd": 27, "accepted": 27,
                                "minorHits": 0, "minorFills": 0},
-         "general": {"tryAdd": 728, "accepted": 728,
+         "general": {"tryAdd": 81, "accepted": 81,
                      "minorHits": 0, "minorFills": 0}}}),
     (SearchConfig(2, 4, "identity-anchored", node_limit=3000),
-     {"nodes": 3001, "pairFilterSkips": 2738, "orbitSkips": 0, "stop": "node-limit",
+     {"nodes": 3001, "pairFilterSkips": 2738, "orbitSkips": 0, "colourSkips": 10,
+      "stop": "node-limit",
       "checkers": {
-         "identity-anchored": {"tryAdd": 262, "accepted": 20,
+         "identity-anchored": {"tryAdd": 252, "accepted": 20,
                                "minorHits": 2904, "minorFills": 395}}}),
     (SearchConfig(3, 3, "greedy-seeded", seed_matrix=sporadic_rank3()),
-     {"nodes": 145, "pairFilterSkips": 0, "orbitSkips": 0, "stop": "exhausted",
-      "checkers": {}}),
+     {"nodes": 145, "pairFilterSkips": 0, "orbitSkips": 0, "colourSkips": 0,
+      "stop": "exhausted", "checkers": {}}),
 ]
 
 
@@ -665,3 +682,59 @@ PINNED_STATS = [
                          ids=["2-3-hnf", "5-2-hnf", "2-4-identity-3000", "3-3-greedy"])
 def test_pinned_search_stats(config, stats):
     assert max_columns_search(config).stats == stats
+
+
+def _members(bits: int) -> list[int]:
+    return [v for v in range(bits.bit_length()) if bits >> v & 1]
+
+
+class TestColouringBound:
+    """``_colour_cut`` against a brute-force maximum clique on random
+    compatibility rows, and the search with the cut on and off."""
+
+    N = 12
+
+    @pytest.fixture(params=range(6))
+    def rows(self, request):
+        rng = random.Random(request.param)
+        density = (0.3, 0.5, 0.8)[request.param % 3]
+        return [sum(1 << w for w in range(v + 1, self.N) if rng.random() < density)
+                for v in range(self.N)]
+
+    def test_classes_bound_the_clique_of_every_suffix(self, rows):
+        n, classes = self.N, []
+        assert search._colour_cut(rows, (1 << n) - 1, classes, n, 0) == (0, 0)
+        assert sorted(v for c in classes for v in _members(c)) == list(range(n))
+        for c in classes:  # members of a class are pairwise incompatible
+            assert not any(rows[v] >> w & 1 for v, w in combinations(_members(c), 2))
+        for s in range(n):
+            assert sum(1 for c in classes if c >> s) >= naive_max_clique(rows, range(s, n))
+
+    def test_no_clique_above_the_cut_outnumbers_the_room(self, rows):
+        n = self.N
+        for room in range(n + 1):
+            for floor in range(n):
+                cut, _ = search._colour_cut(rows, (1 << n) - 1, [], room, floor)
+                assert floor <= cut <= n
+                assert naive_max_clique(rows, range(cut, n)) <= room
+
+    def test_resumed_colouring_cuts_where_a_fresh_one_does(self, rows):
+        n, classes, todo = self.N, [], (1 << self.N) - 1
+        for room in range(n + 1):
+            if len(classes) <= room:
+                cut, todo = search._colour_cut(rows, todo, classes, room, 0)
+            assert (cut, todo) == search._colour_cut(rows, (1 << n) - 1, [], room, 0)
+
+    @pytest.mark.parametrize(
+        "config", [c for c, _, optimal, *_ in PINNED_SEARCHES if optimal]
+        + [SearchConfig(3, 3, "hnf-exhaustive")],
+        ids=lambda c: f"{c.delta}-{c.rank}-{c.mode}")
+    def test_searches_agree_with_the_cut_on_and_off(self, config, monkeypatch):
+        cut = max_columns_search(config)
+        monkeypatch.setattr(search, "_colour_cut",
+                            lambda rows, todo, classes, room, floor: (inf, todo))
+        uncut = max_columns_search(config)
+        assert uncut.stats["colourSkips"] == 0
+        assert (cut.best_count, cut.optimal) == (uncut.best_count, uncut.optimal)
+        assert cut.optimal and cut.best_matrix == uncut.best_matrix
+        assert cut.nodes_explored <= uncut.nodes_explored
