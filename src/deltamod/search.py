@@ -38,6 +38,18 @@ Search is sequential and deterministic: candidates are ordered by
 and only strict improvements replace the incumbent, so the reported
 matrix is the lexicographically least among maximum solutions.
 
+Nodes. A node is one candidate examined. A frame of the depth-first
+search examines its candidates in index order up to the first index where
+the count bound fails, and charges them to the node budget in blocks: each
+run up to the next candidate it offers to ``try_add``, then its last block.
+A block stops on the same node as charging one by one. Each examined node
+not offered is counted where it is charged, as one of three skips: a
+colour skip if it could still be taken in the last block (the colouring
+bound below cut it), else an orbit skip at the top level and a pair-filter
+skip below it. The node that exceeds the budget is counted, not examined,
+and none of these, so in the exhaustive modes the skips, the ``try_add``
+calls and that node add up to the node count.
+
 Pair filter. For a seed basis H, bit j of candidate i's compatibility row
 is set iff H plus candidates i and j is delta-modular. The minors that use
 both candidates are, by the argument above, the 2 x 2 minors of their
@@ -48,12 +60,9 @@ candidates and skips a candidate whose bit is clear without asking the
 exact checker: a superset of an infeasible set is infeasible, so that call
 could only have said no. Rows are built when the colouring bound below
 first needs them. The search steps from one set bit of the AND to the
-next. A node is still one candidate examined: the skipped candidates
-between two set bits, up to the first index where the count bound fails,
-are charged to the node budget in one block, which stops on the same node
-as charging them one by one. So every search visits the same nodes in the
-same order, with the same count, limits and certificate, as without the
-filter.
+next; the candidates between are still nodes, pair-filter skips (Nodes
+above). So every search visits the same nodes in the same order, with the
+same count, limits and certificate, as without the filter.
 
 Orbit minima. Over the unit basis (identity-anchored mode, and
 hnf-exhaustive's first basis), the first chosen candidate ranges only over
@@ -74,11 +83,11 @@ candidate i that is not an orbit minimum, some g would map i to the
 minimum m < i of its orbit, and g(S), as large and feasible and holding m,
 would sort before S. So S starts at an orbit minimum, and the subtrees of
 the orbit minima, each still walking every later candidate, contain it.
-Each other top-level candidate is still a node, charged in a block like a
-pair-filter skip and counted as an orbit skip; on a budget that never
-leaves the first top-level subtree, nothing changes, since the first
-candidate is always an orbit minimum (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 1998, for the general method).
+Each other top-level candidate is still a node, an orbit skip (Nodes
+above); on a budget that never leaves the first top-level subtree,
+nothing changes, since the first candidate is always an orbit minimum
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998, for
+the general method).
 
 Colouring bound. Each frame of the depth-first search greedily colours
 its candidates, from the last index down: a candidate joins the first
@@ -104,11 +113,9 @@ subtree holds no selection larger than ``best``, and only a strictly
 larger selection replaces the incumbent. So ``best`` and the incumbent
 change at the same selections, in the same order, as without the cut,
 and the first maximum in search order is reported either way; a search
-that exhausts its space without the cut exhausts it with the cut. A node
-is still one candidate examined: a frame still charges every candidate up
-to where the count bound fails, the cut ones in that block like the pair
-filter's skips, counted as colour skips. Only the cut subtrees are no
-longer visited.
+that exhausts its space without the cut exhausts it with the cut. The
+cut candidates are still nodes, colour skips (Nodes above); only their
+subtrees are no longer visited.
 """
 
 from __future__ import annotations
@@ -147,9 +154,14 @@ class SearchConfig:
         # not (t > 0) also rejects a NaN time limit, which never expires
         if self.node_limit < 1 or not self.time_limit_seconds > 0:
             raise ValueError("limits must be positive")
-        if self.seed_matrix is not None and self.mode != "greedy-seeded":
-            raise ValueError(f"a seed matrix is used only by greedy-seeded mode, "
-                             f"not {self.mode}")
+        if self.mode != "greedy-seeded":
+            if self.seed_matrix is not None:
+                raise ValueError(f"a seed matrix is used only by greedy-seeded mode, "
+                                 f"not {self.mode}")
+        elif self.seed_matrix is None:
+            raise ValueError("greedy-seeded mode requires a seed matrix")
+        elif self.seed_matrix.rows != self.rank:
+            raise ShapeError("the seed matrix must have rank rows")
 
 
 @dataclass(frozen=True)
@@ -357,11 +369,9 @@ class _PairRows:
         ok = np.ones((len(y), later.shape[1]), dtype=bool)
         for a, b in self.pairs:
             ok &= abs(y[..., a] * later[..., b] - y[..., b] * later[..., a]) <= self.cap
-        packed = np.packbits(ok, axis=1, bitorder="little")
         for k in range(len(y)):
-            # bit t of the packed row is candidate lo + 1 + t; keep t >= k
-            bits = int.from_bytes(packed[k].tobytes(), "little")
-            self._rows[lo + k] = bits >> k << (lo + k + 1)
+            # column t of ``ok`` is candidate lo + 1 + t; keep t >= k
+            self._rows[lo + k] = _bitset(ok[k, k:]) << (lo + k + 1)
 
 
 def _colour_cut(rows, todo: int, classes: list[int], room: int, floor: int) -> tuple[int, int]:
@@ -393,47 +403,39 @@ def _colour_cut(rows, todo: int, classes: list[int], room: int, floor: int) -> t
     return floor, todo
 
 
-def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget, first):
+def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget, first, skips):
     """Depth-first max subset with the colouring bound; returns (best,
-    selection, orbit skips, colour skips).
+    selection) and adds its skips to ``skips``, [pair-filter, orbit, colour].
 
     ``live`` is the AND of the compatibility rows of the chosen candidates,
     and ``first`` at the top level, the candidates a selection may start
     from. Each frame colours its candidates lazily with ``_colour_cut``:
     ``live`` as it entered, or at the top level every candidate, since a
     child walks all of rows[j]. A set bit of ``live`` is offered to
-    ``try_add`` unless it is at or past the cut. The candidates between
-    them, which ``try_add`` would reject or which start no new orbit, are
-    still nodes, and so are the cut ones: each frame charges its nodes in
-    blocks, up to the first index where the count bound fails. Each node
-    charged at the top level that is neither tried nor cut, other than one
-    that exceeds the budget, is an orbit skip.
+    ``try_add`` unless it is at or past the cut. Every candidate examined
+    is a node, charged by ``charge`` (module docstring, Nodes).
     """
     best = seed_count
     best_sel: tuple[int, ...] = ()
     sel: list[int] = []
     n = len(cands)
-    orbit_skips = colour_skips = 0
 
-    def charge_tail(i: int, stop: int, live: int) -> None:
-        """Charge nodes i to stop - 1, the frame's last block; the live ones are cut."""
-        nonlocal orbit_skips, colour_skips
-        before = budget.nodes
-        ok = budget.charge(stop - i)
-        seen = budget.nodes - before - (not ok)
-        skipped = (live & ((1 << (i + seen)) - 1)).bit_count()
-        colour_skips += skipped
-        if not sel:
-            orbit_skips += seen - skipped
+    def charge(i: int, end: int, cut: int | None = None) -> bool:
+        """Charge nodes i to end - 1 and count the skips among them.
 
-    def charge(k: int) -> bool:
-        """Charge k nodes, the last of them a candidate to try."""
-        nonlocal orbit_skips
-        if sel:
-            return budget.charge(k)
+        Without ``cut``, node end - 1 is offered to ``try_add`` next. With
+        it, this is the frame's last block, and its live candidates ``cut``
+        were cut by the colouring bound. The node that exceeds the budget
+        is no skip.
+        """
         before = budget.nodes
-        ok = budget.charge(k)
-        orbit_skips += budget.nodes - before - 1
+        ok = budget.charge(end - i)
+        seen = budget.nodes - before - (cut is None or not ok)
+        if cut is not None:
+            colour = (cut & ((1 << (i + seen)) - 1)).bit_count()
+            skips[2] += colour
+            seen -= colour
+        skips[0 if sel else 1] += seen
         return ok
 
     def rec(i: int, live: int, todo: int) -> None:
@@ -448,9 +450,9 @@ def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget, first):
             j = low.bit_length() - 1 if live else n
             if j >= cut or j >= stop:
                 if stop > i:
-                    charge_tail(i, stop, live)
+                    charge(i, stop, live)
                 return
-            if not charge(j + 1 - i):
+            if not charge(i, j + 1):
                 return
             live ^= low
             i = j + 1
@@ -468,7 +470,7 @@ def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget, first):
                     return
 
     rec(0, first, (1 << n) - 1)
-    return best, best_sel, orbit_skips, colour_skips
+    return best, best_sel
 
 
 class _GeneralChecker(IdentityAnchoredChecker):
@@ -485,26 +487,18 @@ class _GeneralChecker(IdentityAnchoredChecker):
 
 
 def _search_stats(budget: _Budget, checkers: list[tuple[str, object]],
-                  orbit_skips: int, colour_skips: int) -> dict:
-    """Nodes, pair-filter, orbit and colour skips, per-checker work and the
-    stop reason.
-
-    Every node charged within the budget was skipped by the pair filter,
-    was skipped at the top level as no orbit minimum, was cut by the
-    colouring bound, or called ``try_add``; the one node whose charge
-    exceeded the budget did none of these. The greedy mode lists no
-    checker and skips nothing.
-    """
+                  skips: list[int]) -> dict:
+    """Nodes, the pair-filter, orbit and colour skips as counted where they
+    were charged (module docstring, Nodes), per-checker work and the stop
+    reason. The greedy mode lists no checker and skips nothing."""
     per_checker: dict[str, Counter] = {}
     for name, c in checkers:
         per_checker.setdefault(name, Counter()).update(c.stats())
-    calls = sum(e["tryAdd"] for e in per_checker.values())
-    skips = (budget.nodes - calls - int(budget.exceeded) - orbit_skips - colour_skips
-             if checkers else 0)
+    pair_filter, orbit, colour = skips
     return {"nodes": budget.nodes,
-            "pairFilterSkips": skips,
-            "orbitSkips": orbit_skips,
-            "colourSkips": colour_skips,
+            "pairFilterSkips": pair_filter,
+            "orbitSkips": orbit,
+            "colourSkips": colour,
             "checkers": {name: dict(e) for name, e in per_checker.items()},
             "stop": budget.stop_reason()}
 
@@ -525,7 +519,7 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
     ceiling = delta * delta * comb(r + 1, 2)
     budget = _Budget(config.node_limit, config.time_limit_seconds)
     checkers: list[tuple[str, object]] = []
-    orbit_skips = colour_skips = 0
+    skips = [0, 0, 0]  # pair-filter, orbit and colour skips
 
     if config.mode != "greedy-seeded":
         best = 0
@@ -537,11 +531,9 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
             checkers.append(("identity-anchored" if d == 1 else "general", checker))
             # d = 1 only for the unit basis, whose grid signed row permutations keep
             first = _bitset(_orbit_minima(ys)) if d == 1 else (1 << len(ys)) - 1
-            h_best, sel, skips, cuts = _branch_and_bound(
+            h_best, sel = _branch_and_bound(
                 r, list(map(tuple, ys.tolist())), _PairRows(ys, delta * d),
-                checker.try_add, checker.pop, budget, first)
-            orbit_skips += skips
-            colour_skips += cuts
+                checker.try_add, checker.pop, budget, first, skips)
             h_matrix = IntMatrix.from_cols(h.columns() + cs[list(sel)].tolist())
             if h_best > best or (h_best == best and (
                     matrix is None or h_matrix.entries < matrix.entries)):
@@ -551,11 +543,7 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
                 break
         optimal = not budget.exceeded
     else:  # greedy-seeded
-        if config.seed_matrix is None:
-            raise ValueError("greedy-seeded mode requires a seed matrix")
         seed = config.seed_matrix
-        if seed.rows != r:
-            raise ShapeError("the seed matrix must have rank rows")
         if not verify_is_feasible(seed, delta):
             raise ValueError("seed matrix is not feasible")
         cols = seed.columns()
@@ -578,7 +566,7 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
         optimal = False
 
     cert = SearchCertificate(best, matrix, optimal, budget.nodes, ceiling,
-                             _search_stats(budget, checkers, orbit_skips, colour_skips))
+                             _search_stats(budget, checkers, skips))
     if not verify_is_feasible(cert.best_matrix, delta):
         raise RuntimeError("search produced an infeasible certificate")
     if cert.best_count != cert.best_matrix.cols:

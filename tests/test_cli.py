@@ -217,6 +217,18 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert "greedy-seeded" in err
 
+    def test_greedy_without_a_seed(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--delta", "3", "--rank", "3",
+                                 "--mode", "greedy")
+        assert code == 2 and out == ""
+        assert err == "error: greedy-seeded mode requires a seed matrix\n"
+
+    def test_greedy_seed_of_other_rank(self, capsys, sporadic_file):
+        code, out, err = run_cli(capsys, "search", "--delta", "3", "--rank", "4",
+                                 "--mode", "greedy", "--seed", sporadic_file)
+        assert code == 2 and out == ""
+        assert err == "error: the seed matrix must have rank rows\n"
+
     def test_search_grid_too_large(self, capsys):
         code, out, err = run_cli(capsys, "search", "--delta", "2", "--rank", "13")
         assert code == 2 and out == ""

@@ -20,6 +20,15 @@ from deltamod.search import (SearchConfig, column_universe, hermite_bases,
                              _GeneralChecker, _grid_candidates, _orbit_minima, _PairRows)
 
 
+def _assert_nodes_partitioned(stats: dict) -> None:
+    """Every node is a skip of one reason, a ``try_add`` call, or the one
+    node whose charge exceeded the budget. The skips are counted where they
+    are charged, so this is a check, not a definition."""
+    calls = sum(c["tryAdd"] for c in stats["checkers"].values())
+    assert (stats["pairFilterSkips"] + stats["orbitSkips"] + stats["colourSkips"] + calls
+            + (stats["stop"] != "exhausted")) == stats["nodes"]
+
+
 def _grid_by_loop(h: IntMatrix, delta: int) -> list[tuple[int, ...]]:
     """Every y in [-delta, delta]^r in Python ints: the canonical columns
     H y / det H, deduplicated, without H's own, in search order."""
@@ -255,6 +264,7 @@ class TestCertificates:
                                                time_limit_seconds=0.01))
         assert not cert.optimal and cert.stats["stop"] == "time-limit"
         assert verify_is_feasible(cert.best_matrix, 2)
+        _assert_nodes_partitioned(cert.stats)
 
     @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
     def test_time_limit_must_be_positive(self, limit):
@@ -304,6 +314,14 @@ class TestCertificates:
     def test_seed_matrix_outside_greedy_is_refused(self, mode):
         with pytest.raises(ValueError, match="greedy-seeded"):
             SearchConfig(3, 3, mode, seed_matrix=sporadic_rank3())
+
+    def test_greedy_config_without_a_seed_is_refused(self):
+        with pytest.raises(ValueError, match="requires a seed matrix"):
+            SearchConfig(3, 3, "greedy-seeded")
+
+    def test_greedy_config_with_a_seed_of_other_rank_is_refused(self):
+        with pytest.raises(ShapeError, match="rank rows"):
+            SearchConfig(3, 4, "greedy-seeded", seed_matrix=sporadic_rank3())
 
     def test_grid_too_large_to_build_is_refused(self):
         with pytest.raises(ValueError, match=r"\[-2, 2\]\^13 needs 236.5 GiB"):
@@ -540,6 +558,8 @@ class TestOrbitMinima:
                 m.setattr(search, "_orbit_minima", lambda ys: np.ones(len(ys), dtype=bool))
                 full = max_columns_search(config)
             assert full.stats["orbitSkips"] == 0
+            _assert_nodes_partitioned(pruned.stats)
+            _assert_nodes_partitioned(full.stats)
             assert (pruned.best_count, pruned.optimal) == (full.best_count, full.optimal)
             assert pruned.optimal and pruned.best_matrix == full.best_matrix
             assert pruned.nodes_explored <= full.nodes_explored
@@ -634,6 +654,7 @@ def test_node_limited_search_outputs(case, limit, count, nodes, skips, entries):
             cert.stats["colourSkips"]) == skips
     assert cert.stats["stop"] == "node-limit"
     assert cert.best_matrix == IntMatrix.from_rows(entries)
+    _assert_nodes_partitioned(cert.stats)
 
 
 @pytest.mark.parametrize("config, count, optimal, nodes, entries", PINNED_SEARCHES,
@@ -645,6 +666,7 @@ def test_pinned_search_outputs(config, count, optimal, nodes, entries):
     cert = max_columns_search(config)
     assert (cert.best_count, cert.optimal, cert.nodes_explored) == (count, optimal, nodes)
     assert cert.best_matrix == IntMatrix.from_rows(entries)
+    _assert_nodes_partitioned(cert.stats)
 
 
 # Whole ``stats`` of searches that run both checkers, of one that stops on
@@ -735,6 +757,8 @@ class TestColouringBound:
                             lambda rows, todo, classes, room, floor: (inf, todo))
         uncut = max_columns_search(config)
         assert uncut.stats["colourSkips"] == 0
+        _assert_nodes_partitioned(cut.stats)
+        _assert_nodes_partitioned(uncut.stats)
         assert (cut.best_count, cut.optimal) == (uncut.best_count, uncut.optimal)
         assert cut.optimal and cut.best_matrix == uncut.best_matrix
         assert cut.nodes_explored <= uncut.nodes_explored
