@@ -6,9 +6,9 @@ extension of the sporadic rank-3 matrix, printing one row per experiment.
 Each row's expected (count, optimal, nodes) is in the ``EXPECTED`` table
 below; the script exits 1 if any row differs from it. A row also fails if
 its run statistics do not account for every node: in the exhaustive modes
-the pair-filter, orbit and colour skips, the ``tryAdd`` calls and the one
-node that exceeds a limit add up to the node count (the greedy row lists
-no checker). Each row's wall time goes to stderr, so stdout is the same on
+the pair-filter, orbit, colour and conflict skips, the ``tryAdd`` calls and
+the one node that exceeds a limit add up to the node count (the greedy row
+lists no checker). Each row's wall time goes to stderr, so stdout is the same on
 every run. The counts are:
 
     bound 1, rank 2, 3 and 4: 3, 6 and 10 (Heller's C(r+1, 2))
@@ -51,8 +51,9 @@ def nodes_add_up(stats: dict) -> bool:
     """Whether every node is a skip, a ``tryAdd`` call or the node that
     exceeded the budget."""
     calls = sum(c["tryAdd"] for c in stats["checkers"].values())
-    return (stats["pairFilterSkips"] + stats["orbitSkips"] + stats["colourSkips"] + calls
-            + (stats["stop"] != "exhausted")) == stats["nodes"]
+    return (stats["pairFilterSkips"] + stats["orbitSkips"] + stats["colourSkips"]
+            + stats["conflictSkips"] + calls + (stats["stop"] != "exhausted")
+            ) == stats["nodes"]
 
 
 def main() -> int:

@@ -623,6 +623,16 @@ class IdentityAnchoredChecker:
     same union U, held to ``caps[|U|]``. A family of old parts in which the
     edge meets one part alone gives a minor over a smaller union, which
     already holds within its smaller cap.
+
+    After ``try_add`` says no, ``conflict`` names the held columns of the
+    minor that went over its cap, as a bitmask over trail positions (the
+    trail holds one entry per accepted column): the held extra of a failing
+    2 x 2 check, or the held extras of a failing family of t parts, and the
+    held edges of a spanning tree of each part of the failing family, over
+    ``adj``; a failing one-part check names only its tree. With the unit
+    columns of the rows outside the family, these and the rejected column
+    are exactly the columns of that minor, so no column set that holds
+    them all is feasible.
     """
 
     def __init__(self, r: int, delta: int, d: int = 1):
@@ -632,6 +642,10 @@ class IdentityAnchoredChecker:
         self.sums: list[tuple[int, ...]] = []
         self.minors: list[dict[tuple[int, ...], dict[tuple[int, ...], int]]] = []
         self._trail: list[tuple[str, object]] = []
+        # trail positions of the held extras (beside ``sums``) and edges
+        self._xpos: list[int] = []
+        self._epos: dict[tuple[int, int], int] = {}
+        self.conflict = 0
         # try_add calls and accepts; held-minor lookups that hit and fills
         self.calls = self.accepted = self.hits = self.fills = 0
 
@@ -649,10 +663,12 @@ class IdentityAnchoredChecker:
                 i, j = data  # type: ignore[misc]
                 self.adj[i] |= 1 << j
                 self.adj[j] |= 1 << i
+                self._epos[data] = len(self._trail)
                 self._trail.append(("edge", data))
             else:
                 self.sums.append(sums)
                 self.minors.append({})
+                self._xpos.append(len(self._trail))
                 self._trail.append(("extra", None))
         self.accepted += 1
         return True
@@ -663,9 +679,11 @@ class IdentityAnchoredChecker:
             i, j = data  # type: ignore[misc]
             self.adj[i] &= ~(1 << j)
             self.adj[j] &= ~(1 << i)
+            del self._epos[data]
         elif kind == "extra":
             self.sums.pop()
             self.minors.pop()
+            self._xpos.pop()
 
     def stats(self) -> dict[str, int]:
         return {"tryAdd": self.calls, "accepted": self.accepted,
@@ -697,18 +715,41 @@ class IdentityAnchoredChecker:
         self.fills += 1
         return v
 
+    def _reject(self, extras: tuple[int, ...], fam: tuple[int, ...]) -> bool:
+        """Set ``conflict`` to the held columns of the minor of the extras
+        ``extras`` and the new column over the parts ``fam``; False."""
+        bits = 0
+        for x in extras:
+            bits |= 1 << self._xpos[x]
+        for mask in fam:
+            # a spanning tree of the part, grown from its lowest row
+            seen = mask & -mask
+            frontier = [seen.bit_length() - 1]
+            while frontier:
+                u = frontier.pop()
+                grow = self.adj[u] & mask & ~seen
+                seen |= grow
+                while grow:
+                    v = (grow & -grow).bit_length() - 1
+                    grow &= grow - 1
+                    bits |= 1 << self._epos[min(u, v), max(u, v)]
+                    frontier.append(v)
+        self.conflict = bits
+        return False
+
     def _extra_ok(self, new: tuple[int, ...]) -> bool:
         caps = self.caps
         conn = _connected_masks(self.r, tuple(self.adj))
         # one part: the minors are the part sums themselves
-        if any(abs(new[mask]) > cap for mask, cap in _capped(conn, 1, caps)):
-            return False
+        for mask, cap in _capped(conn, 1, caps):
+            if abs(new[mask]) > cap:
+                return self._reject((), (mask,))
         # two parts: 2 x 2 minors with one chosen extra
         pairs = _capped(conn, 2, caps)
-        for col in self.sums:
+        for x, col in enumerate(self.sums):
             for m0, m1, cap in pairs:
                 if abs(col[m0] * new[m1] - col[m1] * new[m0]) > cap:
-                    return False
+                    return self._reject((x,), (m0, m1))
         # t parts: expand along the new column over held minors of t - 1 extras
         nx = len(self.sums)
         for t in range(3, min(self.r, nx + 1) + 1):
@@ -729,5 +770,5 @@ class IdentityAnchoredChecker:
                                 self.hits += 1
                             d = d - x * m if neg else d + x * m
                     if abs(d) > cap:
-                        return False
+                        return self._reject(rest, tuple(mask for mask, _, _ in terms))
         return True

@@ -41,14 +41,17 @@ matrix is the lexicographically least among maximum solutions.
 Nodes. A node is one candidate examined. A frame of the depth-first
 search examines its candidates in index order up to the first index where
 the count bound fails, and charges them to the node budget in blocks: each
-run up to the next candidate it offers to ``try_add``, then its last block.
-A block stops on the same node as charging one by one. Each examined node
-not offered is counted where it is charged, as one of three skips: a
-colour skip if it could still be taken in the last block (the colouring
-bound below cut it), else an orbit skip at the top level and a pair-filter
-skip below it. The node that exceeds the budget is counted, not examined,
-and none of these, so in the exhaustive modes the skips, the ``try_add``
-calls and that node add up to the node count.
+run up to the next candidate it may take (a set bit of the AND below,
+short of the colouring cut), then its last block. A block stops on the
+same node as charging one by one. Each examined node not offered to
+``try_add`` is counted where it is charged, as one of four skips: a
+conflict skip if it ends a block but a learned conflict set already rules
+it out (Learned conflicts below), a colour skip if it could still be taken
+in the last block (the colouring bound below cut it), else an orbit skip
+at the top level and a pair-filter skip below it. The node that exceeds
+the budget is counted, not examined, and none of these, so in the
+exhaustive modes the skips, the ``try_add`` calls and that node add up to
+the node count.
 
 Pair filter. For a seed basis H, bit j of candidate i's compatibility row
 is set iff H plus candidates i and j is delta-modular. The minors that use
@@ -116,6 +119,22 @@ and the first maximum in search order is reported either way; a search
 that exhausts its space without the cut exhausts it with the cut. The
 cut candidates are still nodes, colour skips (Nodes above); only their
 subtrees are no longer visited.
+
+Learned conflicts. When ``try_add`` rejects candidate j, the checker's
+``conflict`` names the chosen candidates among the columns of the minor
+that went over its cap. They form a conflict set w of j, kept for the rest
+of that basis's search. Infeasibility is closed under supersets: the basis,
+w and j already hold a minor over its cap, so for every selection S that
+contains w, the basis with S and j is infeasible, and ``try_add(j)`` would
+return False. So a candidate with a learned set inside the selection is a
+conflict skip (Nodes above) and is not offered. Every frame accepts the
+same candidates as before: the branches, the nodes and their blocks,
+``best``, the incumbent and the certificate do not change. Only the
+``try_add`` calls, fewer by the conflict skips, and the checker's
+held-minor work move. The sets never enter the AND, the colouring or the
+count bound (nogood learning: Dechter, "Enhancement schemes for constraint
+processing", Artificial Intelligence 1990; Prosser, "Hybrid algorithms for
+the constraint satisfaction problem", Computational Intelligence 1993).
 """
 
 from __future__ import annotations
@@ -403,30 +422,43 @@ def _colour_cut(rows, todo: int, classes: list[int], room: int, floor: int) -> t
     return floor, todo
 
 
-def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget, first, skips):
+def _known_conflict(learned: list[int], chosen: int) -> bool:
+    """Whether one of the conflict sets ``learned`` lies within ``chosen``."""
+    for w in learned:
+        if w & chosen == w:
+            return True
+    return False
+
+
+def _branch_and_bound(seed_count, cands, rows, checker, budget, first, skips):
     """Depth-first max subset with the colouring bound; returns (best,
-    selection) and adds its skips to ``skips``, [pair-filter, orbit, colour].
+    selection) and adds its skips to ``skips``, [pair-filter, orbit,
+    colour, conflict].
 
     ``live`` is the AND of the compatibility rows of the chosen candidates,
     and ``first`` at the top level, the candidates a selection may start
     from. Each frame colours its candidates lazily with ``_colour_cut``:
     ``live`` as it entered, or at the top level every candidate, since a
     child walks all of rows[j]. A set bit of ``live`` is offered to
-    ``try_add`` unless it is at or past the cut. Every candidate examined
-    is a node, charged by ``charge`` (module docstring, Nodes).
+    ``checker.try_add`` unless it is at or past the cut, or one of its
+    learned conflict sets lies within ``chosen``, the chosen candidates
+    (module docstring, Learned conflicts). Every candidate examined is a
+    node, charged by ``charge`` (module docstring, Nodes).
     """
     best = seed_count
     best_sel: tuple[int, ...] = ()
     sel: list[int] = []
     n = len(cands)
+    # the conflict sets of each candidate, as bitmasks over candidates
+    learned: list[list[int]] = [[] for _ in range(n)]
 
     def charge(i: int, end: int, cut: int | None = None) -> bool:
         """Charge nodes i to end - 1 and count the skips among them.
 
-        Without ``cut``, node end - 1 is offered to ``try_add`` next. With
-        it, this is the frame's last block, and its live candidates ``cut``
-        were cut by the colouring bound. The node that exceeds the budget
-        is no skip.
+        Without ``cut``, node end - 1 is taken up next: offered to
+        ``try_add``, or a conflict skip. With it, this is the frame's last
+        block, and its live candidates ``cut`` were cut by the colouring
+        bound. The node that exceeds the budget is no skip.
         """
         before = budget.nodes
         ok = budget.charge(end - i)
@@ -438,7 +470,7 @@ def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget, first, ski
         skips[0 if sel else 1] += seen
         return ok
 
-    def rec(i: int, live: int, todo: int) -> None:
+    def rec(i: int, live: int, todo: int, chosen: int) -> None:
         nonlocal best, best_sel
         classes: list[int] = []
         while True:
@@ -456,20 +488,26 @@ def _branch_and_bound(seed_count, cands, rows, try_add, undo, budget, first, ski
                 return
             live ^= low
             i = j + 1
-            if try_add(cands[j]):
+            if learned[j] and _known_conflict(learned[j], chosen):
+                skips[3] += 1
+            elif checker.try_add(cands[j]):
                 sel.append(j)
                 if seed_count + len(sel) > best:
                     best = seed_count + len(sel)
                     best_sel = tuple(sel)
                 # ``first`` limits only the top level: a child walks all of rows[j]
                 child = live & rows[j] if len(sel) > 1 else rows[j]
-                rec(i, child, child)
-                undo()
+                rec(i, child, child, chosen | low)
+                checker.pop()
                 sel.pop()
                 if budget.exceeded:
                     return
+            else:
+                # bit k of ``conflict`` is the trail's k-th column, sel[k]
+                c = checker.conflict
+                learned[j].append(sum(1 << s for k, s in enumerate(sel) if c >> k & 1))
 
-    rec(0, first, (1 << n) - 1)
+    rec(0, first, (1 << n) - 1, 0)
     return best, best_sel
 
 
@@ -488,17 +526,18 @@ class _GeneralChecker(IdentityAnchoredChecker):
 
 def _search_stats(budget: _Budget, checkers: list[tuple[str, object]],
                   skips: list[int]) -> dict:
-    """Nodes, the pair-filter, orbit and colour skips as counted where they
-    were charged (module docstring, Nodes), per-checker work and the stop
-    reason. The greedy mode lists no checker and skips nothing."""
+    """Nodes, the pair-filter, orbit, colour and conflict skips as counted
+    where they were charged (module docstring, Nodes), per-checker work and
+    the stop reason. The greedy mode lists no checker and skips nothing."""
     per_checker: dict[str, Counter] = {}
     for name, c in checkers:
         per_checker.setdefault(name, Counter()).update(c.stats())
-    pair_filter, orbit, colour = skips
+    pair_filter, orbit, colour, conflict = skips
     return {"nodes": budget.nodes,
             "pairFilterSkips": pair_filter,
             "orbitSkips": orbit,
             "colourSkips": colour,
+            "conflictSkips": conflict,
             "checkers": {name: dict(e) for name, e in per_checker.items()},
             "stop": budget.stop_reason()}
 
@@ -519,7 +558,7 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
     ceiling = delta * delta * comb(r + 1, 2)
     budget = _Budget(config.node_limit, config.time_limit_seconds)
     checkers: list[tuple[str, object]] = []
-    skips = [0, 0, 0]  # pair-filter, orbit and colour skips
+    skips = [0, 0, 0, 0]  # pair-filter, orbit, colour and conflict skips
 
     if config.mode != "greedy-seeded":
         best = 0
@@ -533,7 +572,7 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
             first = _bitset(_orbit_minima(ys)) if d == 1 else (1 << len(ys)) - 1
             h_best, sel = _branch_and_bound(
                 r, list(map(tuple, ys.tolist())), _PairRows(ys, delta * d),
-                checker.try_add, checker.pop, budget, first, skips)
+                checker, budget, first, skips)
             h_matrix = IntMatrix.from_cols(h.columns() + cs[list(sel)].tolist())
             if h_best > best or (h_best == best and (
                     matrix is None or h_matrix.entries < matrix.entries)):

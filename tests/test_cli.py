@@ -166,8 +166,8 @@ class TestSearchCommand:
         assert set(stats["checkers"]) == {"identity-anchored", "general"}
         calls = sum(c["tryAdd"] for c in stats["checkers"].values())
         assert stats["orbitSkips"] > 0
-        assert (stats["pairFilterSkips"] + stats["orbitSkips"] + stats["colourSkips"] + calls
-                == stats["nodes"])
+        assert (stats["pairFilterSkips"] + stats["orbitSkips"] + stats["colourSkips"]
+                + stats["conflictSkips"] + calls == stats["nodes"])
 
     def test_stats_name_the_node_limit(self, capsys):
         code, out, err = run_cli(capsys, "search", "--delta", "2", "--rank", "4",
@@ -180,7 +180,7 @@ class TestSearchCommand:
         # the node whose charge exceeded the limit neither skipped nor called try_add
         assert stats["colourSkips"] > 0
         assert (stats["pairFilterSkips"] + stats["orbitSkips"] + stats["colourSkips"]
-                + ident["tryAdd"] + 1 == stats["nodes"])
+                + stats["conflictSkips"] + ident["tryAdd"] + 1 == stats["nodes"])
 
     def test_greedy_with_seed_file(self, capsys, sporadic_file):
         code, out, _ = run_cli(capsys, "search", "--delta", "3", "--rank", "3",

@@ -282,7 +282,9 @@ class TestIncrementalChecker:
     def test_trail_minor_tables_under_add_and_pop(self):
         # random add/pop walks with edges among the extras: every held minor
         # is the cofactor determinant of its part-sum submatrix, names only
-        # extras on the trail, and every decision matches a full recheck
+        # extras on the trail, every decision matches a full recheck, and
+        # the columns a rejection's ``conflict`` names already exceed delta
+        # with the rejected one
         rng = random.Random(7171)
         edges_after_extras = 0
         for _ in range(150):
@@ -310,6 +312,11 @@ class TestIncrementalChecker:
                         accepted.append(list(c))
                         if sum(map(abs, c)) == 2 and checker.sums:
                             edges_after_extras += 1
+                    else:
+                        assert checker.conflict >> len(accepted) == 0
+                        named = [a for k, a in enumerate(accepted) if checker.conflict >> k & 1]
+                        assert not is_delta_modular(
+                            IntMatrix.from_cols(units + named + [list(c)]), delta)[0]
                 self._assert_held_minors(checker)
         assert edges_after_extras >= 20
 
@@ -336,6 +343,13 @@ class TestIncrementalChecker:
         assert checker.try_add((0, 0, -1, -1))
         assert checker.try_add((1, -1, 0, 0))
         assert not checker.try_add((1, -1, 1, -1))
+        # the failing family needs both extras and the edge, trail positions 0-2
+        assert checker.conflict == 0b111
+        units = [[int(i == k) for i in range(4)] for k in range(4)]
+        trail = [[1, 1, -1, -1], [0, 0, -1, -1], [1, -1, 0, 0]]
+        for drop in range(3):
+            kept = trail[:drop] + trail[drop + 1:]
+            assert is_delta_modular(IntMatrix.from_cols(units + kept + [[1, -1, 1, -1]]), 2)[0]
         assert any(0b0011 in fam for held in checker.minors[1].values() for fam in held)
         self._assert_held_minors(checker)
         checker.pop()

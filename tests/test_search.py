@@ -12,7 +12,7 @@ from deltamod.exact import (_pivot_cols, det, hermite_triangularize, is_parallel
 from deltamod.families import (build_A, build_A_lee, expected_count, partitions,
                                sporadic_rank3)
 from deltamod.intmatrix import IntMatrix, ShapeError
-from deltamod.modularity import is_delta_modular
+from deltamod.modularity import IdentityAnchoredChecker, is_delta_modular
 from _oracles import naive_max_clique
 from deltamod.search import (SearchConfig, column_universe, hermite_bases,
                              max_columns_search, verify_is_feasible, _canonical,
@@ -25,8 +25,9 @@ def _assert_nodes_partitioned(stats: dict) -> None:
     node whose charge exceeded the budget. The skips are counted where they
     are charged, so this is a check, not a definition."""
     calls = sum(c["tryAdd"] for c in stats["checkers"].values())
-    assert (stats["pairFilterSkips"] + stats["orbitSkips"] + stats["colourSkips"] + calls
-            + (stats["stop"] != "exhausted")) == stats["nodes"]
+    assert (stats["pairFilterSkips"] + stats["orbitSkips"] + stats["colourSkips"]
+            + stats["conflictSkips"] + calls + (stats["stop"] != "exhausted")
+            ) == stats["nodes"]
 
 
 def _grid_by_loop(h: IntMatrix, delta: int) -> list[tuple[int, ...]]:
@@ -674,15 +675,15 @@ def test_pinned_search_outputs(config, count, optimal, nodes, entries):
 PINNED_STATS = [
     (SearchConfig(2, 3, "hnf-exhaustive"),
      {"nodes": 5479, "pairFilterSkips": 4265, "orbitSkips": 35, "colourSkips": 768,
-      "stop": "exhausted",
+      "conflictSkips": 154, "stop": "exhausted",
       "checkers": {
-         "identity-anchored": {"tryAdd": 366, "accepted": 158,
-                               "minorHits": 172, "minorFills": 123},
+         "identity-anchored": {"tryAdd": 212, "accepted": 158,
+                               "minorHits": 133, "minorFills": 118},
          "general": {"tryAdd": 45, "accepted": 38,
                      "minorHits": 155, "minorFills": 107}}}),
     (SearchConfig(5, 2, "hnf-exhaustive"),
      {"nodes": 1272, "pairFilterSkips": 774, "orbitSkips": 22, "colourSkips": 368,
-      "stop": "exhausted",
+      "conflictSkips": 0, "stop": "exhausted",
       "checkers": {
          "identity-anchored": {"tryAdd": 27, "accepted": 27,
                                "minorHits": 0, "minorFills": 0},
@@ -690,13 +691,13 @@ PINNED_STATS = [
                      "minorHits": 0, "minorFills": 0}}}),
     (SearchConfig(2, 4, "identity-anchored", node_limit=3000),
      {"nodes": 3001, "pairFilterSkips": 2738, "orbitSkips": 0, "colourSkips": 10,
-      "stop": "node-limit",
+      "conflictSkips": 180, "stop": "node-limit",
       "checkers": {
-         "identity-anchored": {"tryAdd": 252, "accepted": 20,
-                               "minorHits": 2904, "minorFills": 395}}}),
+         "identity-anchored": {"tryAdd": 72, "accepted": 20,
+                               "minorHits": 1853, "minorFills": 322}}}),
     (SearchConfig(3, 3, "greedy-seeded", seed_matrix=sporadic_rank3()),
      {"nodes": 145, "pairFilterSkips": 0, "orbitSkips": 0, "colourSkips": 0,
-      "stop": "exhausted", "checkers": {}}),
+      "conflictSkips": 0, "stop": "exhausted", "checkers": {}}),
 ]
 
 
@@ -762,3 +763,88 @@ class TestColouringBound:
         assert (cut.best_count, cut.optimal) == (uncut.best_count, uncut.optimal)
         assert cut.optimal and cut.best_matrix == uncut.best_matrix
         assert cut.nodes_explored <= uncut.nodes_explored
+
+
+class _RecordingChecker(IdentityAnchoredChecker):
+    """The search's checker, keeping its accepted columns in trail order and,
+    for each rejection, the accepted columns ``conflict`` names and the
+    rejected column."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.held: list[tuple[int, ...]] = []
+        self.rejections: list[tuple[list[tuple[int, ...]], tuple[int, ...]]] = []
+
+    def try_add(self, col):
+        if super().try_add(col):
+            self.held.append(col)
+            return True
+        assert self.conflict >> len(self.held) == 0
+        self.rejections.append(
+            ([y for k, y in enumerate(self.held) if self.conflict >> k & 1], col))
+        return False
+
+    def pop(self):
+        super().pop()
+        self.held.pop()
+
+
+def _calls(cert) -> int:
+    return sum(c["tryAdd"] for c in cert.stats["checkers"].values())
+
+
+class TestLearnedConflicts:
+    """The conflict sets the search learns from ``try_add`` rejections."""
+
+    @pytest.mark.parametrize(
+        "config", [c for c, _, optimal, *_ in PINNED_SEARCHES if optimal]
+        + [SearchConfig(3, 3, "hnf-exhaustive")]
+        + [SearchConfig(*case, node_limit=limit) for case, limit, *_ in NODE_LIMITED],
+        ids=lambda c: f"{c.delta}-{c.rank}-{c.mode}-{c.node_limit}")
+    def test_searches_agree_with_learning_on_and_off(self, config, monkeypatch):
+        on = max_columns_search(config)
+        monkeypatch.setattr(search, "_known_conflict", lambda learned, chosen: False)
+        off = max_columns_search(config)
+        assert off.stats["conflictSkips"] == 0
+        _assert_nodes_partitioned(on.stats)
+        _assert_nodes_partitioned(off.stats)
+        assert ((on.best_count, on.optimal, on.nodes_explored, on.best_matrix)
+                == (off.best_count, off.optimal, off.nodes_explored, off.best_matrix))
+        for key in ("pairFilterSkips", "orbitSkips", "colourSkips", "stop"):
+            assert on.stats[key] == off.stats[key]
+        assert ({name: c["accepted"] for name, c in on.stats["checkers"].items()}
+                == {name: c["accepted"] for name, c in off.stats["checkers"].items()})
+        # each skip stands for exactly one call that would have said no
+        assert _calls(off) == _calls(on) + on.stats["conflictSkips"]
+
+    @pytest.mark.parametrize("config", [
+        SearchConfig(2, 3, "identity-anchored"), SearchConfig(2, 3, "hnf-exhaustive"),
+        SearchConfig(3, 3, "identity-anchored", node_limit=30000)],
+        ids=lambda c: f"{c.delta}-{c.rank}-{c.mode}-{c.node_limit}")
+    def test_every_learned_set_is_a_witness(self, config, monkeypatch):
+        # the basis H, the named columns w and the rejected column j fail a
+        # scan of the built matrix, which does not use the checker
+        grids, checkers = [], []
+
+        def grid(h, delta):
+            cs, ys = _grid_candidates(h, delta)
+            grids.append((h, {tuple(y): c for y, c in zip(ys.tolist(), cs.tolist())}))
+            return cs, ys
+
+        def checker(*args):
+            checkers.append(_RecordingChecker(*args))
+            return checkers[-1]
+
+        monkeypatch.setattr(search, "_grid_candidates", grid)
+        monkeypatch.setattr(search, "IdentityAnchoredChecker", checker)
+        cert = max_columns_search(config)
+        assert len(grids) == len(checkers) == (5 if config.mode == "hnf-exhaustive" else 1)
+        learned = 0
+        for (h, col_of), c in zip(grids, checkers):
+            for w, j in c.rejections:
+                m = IntMatrix.from_cols(h.columns() + [col_of[y] for y in w + [j]])
+                assert not verify_is_feasible(m, config.delta), (h, w, j)
+            learned += len(c.rejections)
+        assert learned == _calls(cert) - sum(
+            e["accepted"] for e in cert.stats["checkers"].values())
+        assert learned > 0
