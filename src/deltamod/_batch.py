@@ -3,7 +3,8 @@
 The general subdeterminant scan (``exact._scan_subdets``) expands its
 minors here, one row at a time. The identity-anchored scan builds its own
 store of plain minors (``modularity._SubsetScan``) and shares only the
-width rule and the byte rule of this module. A state holds, for each
+width rule, the byte rule and the colex layout (``colex_blocks``,
+``colex_rank``, ``colex_unrank``) of this module. A state holds, for each
 k-subset S of n columns in colexicographic order, the determinant of some
 fixed k rows restricted to S. One step puts a new row on top of those rows:
 
@@ -74,19 +75,37 @@ def _build_level(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     below_combos, below_rank = colex_tables(n, k - 1)
     combos = np.empty((k, comb(n, k)), dtype=np.intp)
     prev_rank = np.empty_like(combos)
-    start = 0
-    # Subsets with largest element `top`, in colex order: a (k-1)-subset of
-    # range(top), then top. Dropping `top` leaves that subset itself;
-    # dropping another element keeps `top`, which adds C(top, k-1) to the rank.
-    for top in range(k - 1, n):
-        width = comb(top, k - 1)
+    # Dropping `top` leaves the block's (k-1)-subset itself; dropping
+    # another element keeps `top`, which adds C(top, k-1) to the rank.
+    for top, start, width in colex_blocks(n, k):
         block = slice(start, start + width)
         combos[:-1, block] = below_combos[:, :width]
         combos[-1, block] = top
         np.add(below_rank[:, :width], width, out=prev_rank[:-1, block])
         prev_rank[-1, block] = np.arange(width)
-        start += width
     return combos, prev_rank
+
+
+def colex_blocks(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """(top, start, width) of each block of the colex k-subsets of range(n).
+
+    The subsets whose largest element is top, top = k-1 .. n-1, are the
+    ``width`` = C(top, k-1) subsets from rank ``start`` on; without top
+    they are the first C(top, k-1) colex (k-1)-subsets.
+    """
+    spans, start = [], 0
+    for top in range(k - 1, n):
+        width = comb(top, k - 1)
+        spans.append((top, start, width))
+        start += width
+    return tuple(spans)
+
+
+def colex_rank(subset) -> int:
+    """The colex rank of the increasing tuple ``subset``: sum over p of
+    C(element p, p + 1). Ordering k-subsets by their bitmask is their colex
+    order, so the rank needs no n."""
+    return sum(comb(c, p + 1) for p, c in enumerate(subset))
 
 
 def colex_unrank(k: int, idx: int) -> tuple[int, ...]:

@@ -81,9 +81,6 @@ class CanonicalColumn:
     def support_size(self) -> int:
         return len(self.reduced)
 
-    def vector(self) -> tuple[int, ...]:
-        return self.reduced
-
 
 def canonical_column(a: Sequence[int]) -> CanonicalColumn:
     nz = [v for v in a if v]

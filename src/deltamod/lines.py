@@ -47,9 +47,6 @@ class LineMultiset:
     def total(self) -> int:
         return sum(v for _, v in self.counts)
 
-    def multiplicity(self, length: int) -> int:
-        return dict(self.counts).get(length, 0)
-
     def __str__(self) -> str:
         return ",".join(f"{k}:{v}" for k, v in self.counts)
 

@@ -110,7 +110,7 @@ def drop_last_row(m: IntMatrix) -> IntMatrix:
 @dataclass(frozen=True)
 class _Split:
     unit_for_row: tuple[int, ...]          # row -> column index of +-e_row
-    edge_for_pair: tuple[tuple[int, int, int], ...]  # (i, j, col), i < j
+    edge_col: dict[tuple[int, int], int]   # (i, j), i < j -> column of +-(e_i - e_j)
     adj: tuple[int, ...]                   # row -> neighbor bitmask
     extras: tuple[int, ...]                # column indices of general columns
 
@@ -130,7 +130,7 @@ def _classify(col: tuple[int, ...]) -> tuple[str, object]:
 def _split_identity_anchored(m: IntMatrix) -> _Split | None:
     r = m.rows
     unit_for_row: dict[int, int] = {}
-    edge_for_pair: dict[tuple[int, int], int] = {}
+    edge_col: dict[tuple[int, int], int] = {}
     extras: list[int] = []
     for j, col in enumerate(m.columns()):
         if not any(col):
@@ -139,39 +139,42 @@ def _split_identity_anchored(m: IntMatrix) -> _Split | None:
         if kind == "unit":
             unit_for_row.setdefault(data, j)
         elif kind == "edge":
-            edge_for_pair.setdefault(data, j)
+            edge_col.setdefault(data, j)
         else:
             extras.append(j)
     if len(unit_for_row) != r:
         return None
     adj = [0] * r
-    for (i, j) in edge_for_pair:
+    for (i, j) in edge_col:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    return _Split(tuple(unit_for_row[i] for i in range(r)),
-                  tuple((i, j, c) for (i, j), c in sorted(edge_for_pair.items())),
+    return _Split(tuple(unit_for_row[i] for i in range(r)), edge_col,
                   tuple(adj), tuple(extras))
 
 
-def _is_connected(mask: int, adj: tuple[int, ...]) -> bool:
-    start = mask & -mask
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            f ^= low
-            nxt |= adj[low.bit_length() - 1]
-        frontier = nxt & mask & ~seen
-        seen |= frontier
-    return seen == mask
+def _tree(mask: int, adj) -> list[tuple[int, int]]:
+    """The edges (i, j), i < j, of a spanning tree of the nonempty row set
+    ``mask`` over ``adj``, grown from its lowest row with a stack: each
+    popped row takes its unseen neighbours in increasing order. The tree
+    spans ``mask`` iff it has one edge fewer than ``mask`` has rows."""
+    seen = mask & -mask
+    stack = [seen.bit_length() - 1]
+    edges = []
+    while stack:
+        u = stack.pop()
+        grow = adj[u] & mask & ~seen
+        seen |= grow
+        while grow:
+            v = (grow & -grow).bit_length() - 1
+            grow &= grow - 1
+            edges.append((u, v) if u < v else (v, u))
+            stack.append(v)
+    return edges
 
 
 @lru_cache(maxsize=512)
 def _connected_masks(r: int, adj: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(mk for mk in range(1, 1 << r) if _is_connected(mk, adj))
+    return tuple(mk for mk in range(1, 1 << r) if len(_tree(mk, adj)) == mk.bit_count() - 1)
 
 
 @lru_cache(maxsize=4096)
@@ -184,34 +187,16 @@ def _mask_sums(col: tuple[int, ...], r: int) -> tuple[int, ...]:
     return tuple(sums)
 
 
-def _spanning_tree_cols(mask: int, split: _Split) -> list[int]:
-    """Column indices of difference columns forming a spanning tree of mask."""
-    edge_col = {(i, j): c for (i, j, c) in split.edge_for_pair}
-    rows = [i for i in range(len(split.adj)) if mask >> i & 1]
-    seen = {rows[0]}
-    cols: list[int] = []
-    frontier = [rows[0]]
-    while frontier:
-        i = frontier.pop()
-        for j in rows:
-            if j in seen or not (split.adj[i] >> j & 1):
-                continue
-            seen.add(j)
-            frontier.append(j)
-            cols.append(edge_col[(min(i, j), max(i, j))])
-    if len(seen) != len(rows):
-        raise RuntimeError("part is not connected")
-    return cols
-
-
 def _witness_cols(family: tuple[int, ...], combo: tuple[int, ...],
                   split: _Split, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     used = 0
     cols: list[int] = []
     for mask in family:
         used |= mask
-        if mask & (mask - 1):
-            cols.extend(_spanning_tree_cols(mask, split))
+        tree = _tree(mask, split.adj)
+        if len(tree) != mask.bit_count() - 1:
+            raise RuntimeError("part is not connected")
+        cols.extend(split.edge_col[e] for e in tree)
     for i in range(r):
         if not (used >> i & 1):
             cols.append(split.unit_for_row[i])
@@ -230,36 +215,20 @@ class _ScanHit(Exception):
 
 @lru_cache(maxsize=4096)
 def _row_set(mask: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(colex rank, rows, rank without each row) of the row set ``mask``.
-
-    Ordering the t-subsets of rows by mask value is their colex order, so
-    the rank is sum over p of C(row p, p + 1) and needs no row count.
-    """
+    """(colex rank, rows, rank without each row) of the row set ``mask``."""
     rows = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-    def rank(rs):
-        return sum(comb(i, p + 1) for p, i in enumerate(rs))
-
+    rank = _batch.colex_rank
     return rank(rows), rows, tuple(rank(rows[:p] + rows[p + 1:]) for p in range(len(rows)))
 
 
 @lru_cache(maxsize=64)
 def _blocks(nx: int, t: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
-    """The layout of level t of the minor store over nx columns.
-
-    The colex t-subsets whose largest column is c form one block, c = t-1
-    .. nx-1, of width C(c, t-1); without c they are the first C(c, t-1)
-    subsets of size t-1. Returns (c, start, width) of each block and the
-    rows of one batch: as many as keep what the batch gathers, t rows of X
-    and t rows one level down for each row, within ``_BATCH_ENTRIES``
-    entries, else one.
-    """
-    spans, start = [], 0
-    for c in range(t - 1, nx):
-        width = comb(c, t - 1)
-        spans.append((c, start, width))
-        start += width
-    return tuple(spans), max(1, _BATCH_ENTRIES // (t * (nx + comb(nx, t - 1))))
+    """The layout of level t of the minor store over nx columns: the colex
+    blocks of its t-subsets (``_batch.colex_blocks``) and the rows of one
+    batch, as many as keep what the batch gathers, t rows of X and t rows
+    one level down for each row, within ``_BATCH_ENTRIES`` entries, else
+    one."""
+    return _batch.colex_blocks(nx, t), max(1, _BATCH_ENTRIES // (t * (nx + comb(nx, t - 1))))
 
 
 @lru_cache(maxsize=64)
@@ -267,12 +236,6 @@ def _signs(t: int, dtype: np.dtype) -> np.ndarray:
     """The signs (-1)**(t-1-p) of the terms of level t, in the store's
     dtype, so that multiplying by them keeps the store's width."""
     return np.array([(-1) ** (t - 1 - p) for p in range(t)], dtype=dtype)
-
-
-@lru_cache(maxsize=16)
-def _row_pairs(r: int) -> tuple[int, ...]:
-    """The 2-subsets of r rows as masks, in colex order."""
-    return tuple(1 << i | 1 << j for j in range(r) for i in range(j))
 
 
 @lru_cache(maxsize=64)
@@ -429,7 +392,7 @@ class _SubsetScan:
         # pairs asked for raised the `extend` benchmark's p50_ms from 1.21
         # to 1.33 ms (medians of 6 alternating runs)
         if t == 2 and comb(r, 2) <= step:
-            masks = _row_pairs(r)
+            masks = [1 << i | 1 << j for i, j in combinations(range(r), 2)]
         level, below = self.levels[t], self.levels[t - 1]
         for lo in range(0, len(masks), step):
             meta = [_row_set(mk) for mk in masks[lo:lo + step]]
@@ -722,18 +685,8 @@ class IdentityAnchoredChecker:
         for x in extras:
             bits |= 1 << self._xpos[x]
         for mask in fam:
-            # a spanning tree of the part, grown from its lowest row
-            seen = mask & -mask
-            frontier = [seen.bit_length() - 1]
-            while frontier:
-                u = frontier.pop()
-                grow = self.adj[u] & mask & ~seen
-                seen |= grow
-                while grow:
-                    v = (grow & -grow).bit_length() - 1
-                    grow &= grow - 1
-                    bits |= 1 << self._epos[min(u, v), max(u, v)]
-                    frontier.append(v)
+            for e in _tree(mask, self.adj):
+                bits |= 1 << self._epos[e]
         self.conflict = bits
         return False
 

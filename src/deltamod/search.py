@@ -35,8 +35,11 @@ subdeterminants all stay within delta. Three modes:
 
 Search is sequential and deterministic: candidates are ordered by
 (max absolute entry, entries), depth-first inclusion is tried in order,
-and only strict improvements replace the incumbent, so the reported
-matrix is the lexicographically least among maximum solutions.
+and only strict improvements replace the incumbent. So over one basis
+the search reports the least maximum selection in the lexicographic
+order of its sorted candidate indices. Across the hnf bases it reports,
+among the bases' reported matrices of the largest count, the least by
+row-major entries. Greedy makes one pass and reports what it took.
 
 Nodes. A node is one candidate examined. A frame of the depth-first
 search examines its candidates in index order up to the first index where
@@ -148,7 +151,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._batch import MAX_SCAN_BYTES
+from ._batch import MAX_SCAN_BYTES, array_bytes
 from .exact import _bareiss_det, _canonical, _pivot_cols, rank
 from .intmatrix import IntMatrix, ShapeError
 from .modularity import IdentityAnchoredChecker, is_delta_modular, parallel_violations
@@ -255,7 +258,7 @@ def _grid_candidates(h: IntMatrix, delta: int) -> tuple[np.ndarray, np.ndarray]:
     image with a positive leading entry.
     """
     r = h.rows
-    need = 2 * (2 * delta + 1) ** r * r * 8
+    need = array_bytes(2 * (2 * delta + 1) ** r * r, np.int64)
     if need > MAX_SCAN_BYTES:
         raise ValueError(
             f"the candidate grid [-{delta}, {delta}]^{r} needs {need / 2 ** 30:.1f} GiB "

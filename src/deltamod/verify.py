@@ -228,9 +228,7 @@ def _single_extension_classes(max_entry: int, max_support: int):
             for neg in _partitions_desc(p, max_entry):
                 if len(pos) + len(neg) > max_support:
                     continue
-                fwd = tuple(sorted(list(pos) + [-v for v in neg], reverse=True))
-                rev = tuple(sorted((-v for v in fwd), reverse=True))
-                seen.add(max(fwd, rev))
+                seen.add(canonical_column(list(pos) + [-v for v in neg]).reduced)
     return sorted(seen, key=lambda c: (len(c), c))
 
 

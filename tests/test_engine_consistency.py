@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 from deltamod import _batch, exact, families, modularity
-from deltamod._batch import batched_det, colex_tables, colex_unrank, scan_dtype
+from deltamod._batch import batched_det, colex_rank, colex_tables, colex_unrank, scan_dtype
 from deltamod.cli import run
 from deltamod.exact import det, det_cofactor, max_abs_full_rank_subdet, rank
 from deltamod.extensions import clique_matrix
 from deltamod.intmatrix import IntMatrix
 from deltamod.modularity import (_MAX_FAST_ROWS, _connected_masks, _split_identity_anchored,
-                                 append_zero_sum_row, drop_last_row, is_delta_modular,
+                                 _tree, append_zero_sum_row, drop_last_row, is_delta_modular,
                                  modularity_level)
-from tests._oracles import (naive_anchored_split, naive_first_max_rank_subdet,
+from tests._oracles import (_naive_components, naive_anchored_split, naive_first_max_rank_subdet,
                             naive_identity_scan, naive_identity_witness,
                             naive_max_rank_subdet, naive_row_basis, naive_witness_parts)
 
@@ -429,6 +429,29 @@ class TestSubsetMachinery:
         combos = colex_tables(7, 4)[0].T
         for idx, row in enumerate(combos.tolist()):
             assert colex_unrank(4, idx) == tuple(row)
+            assert colex_rank(tuple(row)) == idx
+
+    def test_tree_spans_exactly_the_connected_masks(self):
+        rng = random.Random(2424)
+        for r in range(1, 7):
+            for density in (0.2, 0.4, 0.7) * 4:
+                pairs = [p for p in combinations(range(r), 2) if rng.random() < density]
+                adj = [0] * r
+                for i, j in pairs:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+                adj = tuple(adj)
+                conn = set(_connected_masks(r, adj))
+                for mask in range(1, 1 << r):
+                    rows = [i for i in range(r) if mask >> i & 1]
+                    inside = [(i, j) for i, j in pairs if {i, j} <= set(rows)]
+                    connected = len(_naive_components(rows, inside)) == 1
+                    tree = _tree(mask, adj)
+                    # edges of adj inside the mask, i < j, with no cycle
+                    assert set(tree) <= set(inside)
+                    parts = len(_naive_components(rows, tree))
+                    assert len(tree) == len(rows) - parts
+                    assert (parts == 1) == connected == (mask in conn)
 
     def test_connected_masks_complete_graph(self):
         adj = tuple((1 << 4) - 1 ^ (1 << i) for i in range(4))
