@@ -7,9 +7,10 @@ Each row's expected (count, optimal, nodes) is in the ``EXPECTED`` table
 below; the script exits 1 if any row differs from it. A row also fails if
 its run statistics do not account for every node: in the exhaustive modes
 the pair-filter, orbit, colour and conflict skips, the ``tryAdd`` calls and
-the one node that exceeds a limit add up to the node count (the greedy row
-lists no checker). Each row's wall time goes to stderr, so stdout is the same on
-every run. The counts are:
+the one node that exceeds a limit add up to the node count (greedy is left
+out: its ``tryAdd`` calls include the seed's columns, and the columns it
+already holds are nodes counted as no skip). Each row's wall time goes to
+stderr, so stdout is the same on every run. The counts are:
 
     bound 1, rank 2, 3 and 4: 3, 6 and 10 (Heller's C(r+1, 2))
     bound 2, rank 3, identity class and all classes: 9

@@ -77,10 +77,6 @@ class CanonicalColumn:
     reduced: tuple[int, ...]
     sign_flag: bool = False
 
-    @property
-    def support_size(self) -> int:
-        return len(self.reduced)
-
 
 def canonical_column(a: Sequence[int]) -> CanonicalColumn:
     nz = [v for v in a if v]
@@ -93,29 +89,32 @@ def canonical_column(a: Sequence[int]) -> CanonicalColumn:
     return CanonicalColumn(rev, True)
 
 
+def zero_sum_classes(max_sum: int, max_entry: int, max_support: int) -> list[tuple[int, ...]]:
+    """The canonical classes (``canonical_column``) of the nonzero zero-sum
+    columns whose positive entries sum to at most ``max_sum``, with every
+    |entry| at most ``max_entry`` and at most ``max_support`` nonzero
+    entries, sorted by (support size, entries)."""
+    seen: set[tuple[int, ...]] = set()
+    for p in range(1, max_sum + 1):
+        for pos in _partitions_desc(p, max_entry):
+            for neg in _partitions_desc(p, max_entry):
+                if len(pos) + len(neg) <= max_support:
+                    seen.add(canonical_column(list(pos) + [-v for v in neg]).reduced)
+    return sorted(seen, key=lambda c: (len(c), c))
+
+
 def enumerate_single_extensions(delta: int) -> list[CanonicalColumn]:
     """All admissible single extension columns, canonical and deduplicated.
 
     A zero-sum column keeps the extended clique delta-modular iff its
     positive entries sum to at most delta; columns parallel to a difference
-    column are excluded. Output is sorted by (support size, entries).
+    column, the classes (p, -p) of support 2, are excluded. Output is
+    sorted by (support size, entries).
     """
     if delta < 1:
         raise ValueError("delta must be positive")
-    seen: set[tuple[int, ...]] = set()
-    out: list[CanonicalColumn] = []
-    for p in range(1, delta + 1):
-        for pos in _partitions_desc(p, p):
-            for neg in _partitions_desc(p, p):
-                if len(pos) == 1 and len(neg) == 1:
-                    continue  # (p, -p) is parallel to a difference column
-                col = list(pos) + [-v for v in neg]
-                canon = canonical_column(col)
-                if canon.reduced not in seen:
-                    seen.add(canon.reduced)
-                    out.append(CanonicalColumn(canon.reduced))
-    out.sort(key=lambda c: (c.support_size, c.reduced))
-    return out
+    return [CanonicalColumn(c) for c in zero_sum_classes(delta, delta, 2 * delta)
+            if len(c) > 2]
 
 
 # -- pairs -------------------------------------------------------------------

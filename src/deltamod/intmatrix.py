@@ -2,8 +2,9 @@
 
 Entries are Python ints (arbitrary precision) stored row-major as nested
 tuples, so matrices are hashable, comparable, and safe to share across
-threads. Columns may carry opaque string labels; the extremal-family
-constructors use them to tag column types.
+threads. Columns may carry opaque string labels, nonempty and without
+whitespace; the extremal-family constructors use them to tag column types,
+and ``hstack`` pads an unlabeled side with ``UNLABELED``.
 
 Serialization formats:
 
@@ -29,6 +30,8 @@ class DegenerateRankError(ValueError):
 
 Vector = tuple[int, ...]
 
+UNLABELED = "-"
+
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -47,6 +50,9 @@ class IntMatrix:
                     raise ShapeError(f"non-integer entry {v!r}")
         if self.labels is not None and len(self.labels) != width:
             raise ShapeError("labels must be in bijection with columns")
+        for lab in self.labels or ():
+            if not isinstance(lab, str) or lab.split() != [lab]:
+                raise ShapeError(f"label {lab!r} is empty or holds whitespace")
 
     # -- construction -----------------------------------------------------
 
@@ -101,8 +107,8 @@ class IntMatrix:
         if self.labels is None and other.labels is None:
             lab = None
         else:
-            lab = tuple((self.labels or ("",) * self.cols)
-                        + (other.labels or ("",) * other.cols))
+            lab = tuple((self.labels or (UNLABELED,) * self.cols)
+                        + (other.labels or (UNLABELED,) * other.cols))
         return IntMatrix(ent, lab)
 
     def max_abs_entry(self) -> int:

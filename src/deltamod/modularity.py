@@ -321,7 +321,9 @@ class _SubsetScan:
         self.path: list[int] = []
         # levels[t][rank(R)] = det X[R, S] over the t-subsets S; level 1 is X.
         # Levels 2.. are views of one buffer, whose rows are written before
-        # they are read.
+        # they are read; the next scan reuses the block without page faults
+        # (one array per level: 2,536 faults per full 7 x 24 store, about
+        # 6 ms on a 2-core VM).
         shapes = _store_layout(x.shape[0], nx, max_depth, x.dtype)[0]
         buf = np.empty(sum(a * b for a, b in shapes), dtype=x.dtype)
         self.levels = [None, x]
@@ -575,6 +577,16 @@ class IdentityAnchoredChecker:
     and ``pop`` drops them with the extra. An incoming column is checked by
     the same expansion along itself, over the held minors of the extras.
 
+    A fill reads only minors already held, so it never recurses. In one
+    ``_extra_ok`` call, the pass over t parts with the extras ``rest``
+    reads, and so holds, the minor of ``rest`` over each (t - 1)-part
+    family G with a part M disjoint from G and new[M] != 0. A fill in the
+    pass over t + 1 parts, made for a part M of the checked family F with
+    new[M] != 0, expands the minor of ``rest + (k,)`` over F - M along
+    column k: it reads the minors of ``rest`` over F - M - M', families
+    that M is disjoint from, so the pass over t parts held them. With one
+    extra below, they are the part sums.
+
     An edge e_i - e_j not yet held is checked the same way, as an extra
     over the parts held before it, and then joins ``adj``. This is exact. A
     new part through the edge is either an old part, or the union of two
@@ -588,14 +600,15 @@ class IdentityAnchoredChecker:
     already holds within its smaller cap.
 
     After ``try_add`` says no, ``conflict`` names the held columns of the
-    minor that went over its cap, as a bitmask over trail positions (the
-    trail holds one entry per accepted column): the held extra of a failing
-    2 x 2 check, or the held extras of a failing family of t parts, and the
-    held edges of a spanning tree of each part of the failing family, over
-    ``adj``; a failing one-part check names only its tree. With the unit
-    columns of the rows outside the family, these and the rejected column
-    are exactly the columns of that minor, so no column set that holds
-    them all is feasible.
+    minor that went over its cap, as a bitmask over trail positions: the
+    held extra of a failing 2 x 2 check, or the held extras of a failing
+    family of t parts, and the held edges of a spanning tree of each part
+    of the failing family, over ``adj``; a failing one-part check names
+    only its tree. With the unit columns of the rows outside the family,
+    these and the rejected column are exactly the columns of that minor,
+    so no column set that holds them all is feasible. The positions are
+    read off the trail, which holds one entry per accepted column and
+    names its extra or edge.
     """
 
     def __init__(self, r: int, delta: int, d: int = 1):
@@ -604,10 +617,9 @@ class IdentityAnchoredChecker:
         self.adj = [0] * r
         self.sums: list[tuple[int, ...]] = []
         self.minors: list[dict[tuple[int, ...], dict[tuple[int, ...], int]]] = []
+        # per accepted column: ("unit", None), ("extra", its index in
+        # ``sums``) or ("edge", (i, j))
         self._trail: list[tuple[str, object]] = []
-        # trail positions of the held extras (beside ``sums``) and edges
-        self._xpos: list[int] = []
-        self._epos: dict[tuple[int, int], int] = {}
         self.conflict = 0
         # try_add calls and accepts; held-minor lookups that hit and fills
         self.calls = self.accepted = self.hits = self.fills = 0
@@ -626,13 +638,11 @@ class IdentityAnchoredChecker:
                 i, j = data  # type: ignore[misc]
                 self.adj[i] |= 1 << j
                 self.adj[j] |= 1 << i
-                self._epos[data] = len(self._trail)
-                self._trail.append(("edge", data))
             else:
+                data = len(self.sums)
                 self.sums.append(sums)
                 self.minors.append({})
-                self._xpos.append(len(self._trail))
-                self._trail.append(("extra", None))
+            self._trail.append((kind, data))
         self.accepted += 1
         return True
 
@@ -642,52 +652,43 @@ class IdentityAnchoredChecker:
             i, j = data  # type: ignore[misc]
             self.adj[i] &= ~(1 << j)
             self.adj[j] &= ~(1 << i)
-            del self._epos[data]
         elif kind == "extra":
             self.sums.pop()
             self.minors.pop()
-            self._xpos.pop()
 
     def stats(self) -> dict[str, int]:
         return {"tryAdd": self.calls, "accepted": self.accepted,
                 "minorHits": self.hits, "minorFills": self.fills}
 
-    def _minor(self, ks: tuple[int, ...], fam: tuple[int, ...]) -> int:
-        """Minor of the chosen extras ``ks`` over the parts ``fam``."""
-        if len(ks) == 1:
-            return self.sums[ks[0]][fam[0]]
-        held = self.minors[ks[-1]].setdefault(ks[:-1], {})
-        v = held.get(fam)
-        if v is None:
-            v = self._fill(ks, held, fam)
-        else:
-            self.hits += 1
-        return v
-
     def _fill(self, ks: tuple[int, ...], held: dict, fam: tuple[int, ...]) -> int:
-        """Expand the minor of ``ks`` over ``fam`` along its last column and
-        hold it in ``held``, the table of ``ks``."""
-        col, rest = self.sums[ks[-1]], ks[:-1]
+        """Expand the minor of the extras ``ks`` over the parts ``fam`` along
+        its last column and hold it in ``held``, the table of ``ks``. The
+        minors it reads one level down, part sums when ``ks`` has two
+        extras, are already held (class docstring)."""
+        col, low = self.sums[ks[-1]], len(ks) == 2
+        below = self.sums[ks[0]] if low else self.minors[ks[-2]][ks[:-2]]
         v = 0
         for mask, sub, neg in _laplace_terms(fam):
             x = col[mask]
             if x:
-                m = self._minor(rest, sub)
+                if low:
+                    m = below[sub[0]]
+                else:
+                    m = below[sub]
+                    self.hits += 1
                 v = v - x * m if neg else v + x * m
         held[fam] = v
         self.fills += 1
         return v
 
     def _reject(self, extras: tuple[int, ...], fam: tuple[int, ...]) -> bool:
-        """Set ``conflict`` to the held columns of the minor of the extras
-        ``extras`` and the new column over the parts ``fam``; False."""
-        bits = 0
-        for x in extras:
-            bits |= 1 << self._xpos[x]
-        for mask in fam:
-            for e in _tree(mask, self.adj):
-                bits |= 1 << self._epos[e]
-        self.conflict = bits
+        """Set ``conflict`` to the trail positions of the held columns of the
+        minor of the extras ``extras`` and the new column over the parts
+        ``fam``: those extras and the edges of a tree of each part; False."""
+        edges = {e for mask in fam for e in _tree(mask, self.adj)}
+        self.conflict = sum(1 << p for p, (kind, data) in enumerate(self._trail)
+                            if kind == "extra" and data in extras
+                            or kind == "edge" and data in edges)
         return False
 
     def _extra_ok(self, new: tuple[int, ...]) -> bool:
@@ -707,8 +708,6 @@ class IdentityAnchoredChecker:
         nx = len(self.sums)
         for t in range(3, min(self.r, nx + 1) + 1):
             expansions = _expansions(conn, t, caps)
-            if not expansions:
-                break
             for rest in combinations(range(nx), t - 1):
                 held = self.minors[rest[-1]].setdefault(rest[:-1], {})
                 for terms, cap in expansions:

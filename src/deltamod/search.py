@@ -515,13 +515,13 @@ def _branch_and_bound(seed_count, cands, rows, checker, budget, first, skips):
 
 
 class _GeneralChecker(IdentityAnchoredChecker):
-    """Greedy's checker: the identity-anchored checker in the basis
-    coordinates y = adj(B) c of the seed's pivot columns B, with the caps
-    delta * |det B|**(k-1). Greedy offers each column once; nothing is cached."""
+    """Greedy's checker: the identity-anchored checker, with its held minor
+    tables, in the basis coordinates y = adj(B) c of the seed's pivot
+    columns B, with the caps delta * d**(k-1), d = |det B|."""
 
     def __init__(self, basis_cols, delta: int):
-        self.adjugate, d = _basis_coords(basis_cols)
-        super().__init__(len(basis_cols), delta, d)
+        self.adjugate, self.d = _basis_coords(basis_cols)
+        super().__init__(len(basis_cols), delta, self.d)
 
     def try_add(self, col: tuple[int, ...]) -> bool:
         return super().try_add(_coords(self.adjugate, col))
@@ -531,7 +531,7 @@ def _search_stats(budget: _Budget, checkers: list[tuple[str, object]],
                   skips: list[int]) -> dict:
     """Nodes, the pair-filter, orbit, colour and conflict skips as counted
     where they were charged (module docstring, Nodes), per-checker work and
-    the stop reason. The greedy mode lists no checker and skips nothing."""
+    the stop reason. The greedy mode skips nothing."""
     per_checker: dict[str, Counter] = {}
     for name, c in checkers:
         per_checker.setdefault(name, Counter()).update(c.stats())
@@ -591,6 +591,7 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
         cols = seed.columns()
         basis = _pivot_cols(seed)
         checker = _GeneralChecker([cols[k] for k in basis], delta)
+        checkers.append(("identity-anchored" if checker.d == 1 else "general", checker))
         for k, c in enumerate(cols):
             if k not in basis and not checker.try_add(c):
                 raise RuntimeError("the checker rejected a column of a feasible seed")

@@ -29,9 +29,9 @@ from .exact import max_abs_full_rank_subdet, rank
 from .extensions import (canonical_column, canonical_rows,
                          clique_extension_max_subdet, corner_det, embed_single,
                          enumerate_pair_extensions, enumerate_single_extensions,
-                         refute_triple_extensions)
-from .families import (_base_columns, _partitions_desc, build_A, build_A_lee,
-                       expected_count, partition_count, partitions, sporadic_rank3)
+                         refute_triple_extensions, zero_sum_classes)
+from .families import (_base_columns, build_A, build_A_lee, expected_count,
+                       partition_count, partitions, sporadic_rank3)
 from .intmatrix import IntMatrix
 from .lines import (distinguishing_report, line_length_multiset, nu_formula,
                     recover_partition)
@@ -221,17 +221,6 @@ def _check_triple_refutations() -> str:
     return f"all {len(refs)} candidate triples refuted with |det| >= 4"
 
 
-def _single_extension_classes(max_entry: int, max_support: int):
-    seen = set()
-    for p in range(1, max_entry * (max_support // 2) + 1):
-        for pos in _partitions_desc(p, max_entry):
-            for neg in _partitions_desc(p, max_entry):
-                if len(pos) + len(neg) > max_support:
-                    continue
-                seen.add(canonical_column(list(pos) + [-v for v in neg]).reduced)
-    return sorted(seen, key=lambda c: (len(c), c))
-
-
 def _check_formula(col, r: int, value: int) -> None:
     want = clique_extension_max_subdet(col, r)
     _require(value == want, f"column {tuple(col)} at rank {r}: brute force "
@@ -239,7 +228,9 @@ def _check_formula(col, r: int, value: int) -> None:
 
 
 def _check_extension_oracle() -> str:
-    classes = _single_extension_classes(4, 7)
+    # entries in [-4, 4], support at most 7: one side has at most 3 entries,
+    # so the positive entries sum to at most 12
+    classes = zero_sum_classes(12, 4, 7)
     checked = 0
     # exhaustive at every rank up to 5, for every class that fits
     for a in classes:

@@ -11,7 +11,8 @@ from deltamod.extensions import (canonical_column, canonical_rows,
                                  corner_det, embed_anchored, embed_single,
                                  enumerate_pair_extensions,
                                  enumerate_single_extensions, max_subset_sum,
-                                 refute_triple_extensions, _anchored_shapes)
+                                 refute_triple_extensions, zero_sum_classes,
+                                 _anchored_shapes)
 from deltamod.intmatrix import IntMatrix, ShapeError
 from deltamod.modularity import is_delta_modular, modularity_level
 from deltamod.verify import KNOWN_PAIR_BLOCKS_3, KNOWN_SINGLE_COLUMNS_3
@@ -110,9 +111,8 @@ class TestSingleEnumeration:
         # every canonical zero-sum class over [-4, 4] not parallel to a
         # difference column embeds delta-modular at bound 3 exactly when
         # the enumeration contains it
-        from deltamod.verify import _single_extension_classes
         admitted = {c.reduced for c in enumerate_single_extensions(3)}
-        for a in _single_extension_classes(4, 7):
+        for a in zero_sum_classes(12, 4, 7):
             if len(a) == 2:
                 continue  # parallel to a difference column, excluded
             ok, _ = is_delta_modular(embed_single(a), 3)

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
-from deltamod.intmatrix import IntMatrix, ShapeError, SubmatrixWitness
+from deltamod.families import build_A
+from deltamod.intmatrix import UNLABELED, IntMatrix, ShapeError, SubmatrixWitness
 
 
 class TestConstruction:
@@ -73,5 +76,16 @@ class TestWitness:
     def test_hstack_and_labels(self):
         a = IntMatrix.identity(2)
         b = IntMatrix.from_cols([[5, 6]], labels=["extra"])
-        assert a.hstack(b).labels == ("", "", "extra")
+        assert a.hstack(b).labels == (UNLABELED, UNLABELED, "extra")
         assert a.hstack(b).column(2) == (5, 6)
+
+    def test_padded_labels_round_trip(self):
+        m = build_A(3, (2,), 3).matrix.hstack(IntMatrix.from_cols([[1, 1, 1]]))
+        assert m.labels[-1] == UNLABELED
+        assert IntMatrix.from_text(m.to_text()) == m
+        assert IntMatrix.from_json_dict(json.loads(json.dumps(m.to_json_dict()))) == m
+
+    @pytest.mark.parametrize("label", ["", "a b", "tab\there", " lead", "end\n", None])
+    def test_unwritable_label_refused(self, label):
+        with pytest.raises(ShapeError):
+            IntMatrix.from_rows([[1, 2]], labels=["ok", label])

@@ -284,11 +284,12 @@ class TestIncrementalChecker:
         # is the cofactor determinant of its part-sum submatrix, names only
         # extras on the trail, every decision matches a full recheck, and
         # the columns a rejection's ``conflict`` names already exceed delta
-        # with the rejected one
+        # with the rejected one; at ranks 5 and 6, sparse extras reach held
+        # minors of 4 extras
         rng = random.Random(7171)
         edges_after_extras = 0
-        for _ in range(150):
-            r = rng.choice((2, 3, 4))
+        widest = 0
+        for r in [rng.choice((2, 3, 4)) for _ in range(150)] + [5, 6] * 20:
             delta = rng.choice((1, 2, 3))
             checker = IdentityAnchoredChecker(r, delta)
             units = [[int(i == k) for i in range(r)] for k in range(r)]
@@ -301,6 +302,8 @@ class TestIncrementalChecker:
                     if rng.random() < 0.3:
                         i, j = rng.sample(range(r), 2)
                         c = tuple(1 if k == i else -1 if k == j else 0 for k in range(r))
+                    elif r >= 5:
+                        c = tuple(rng.choices((-1, 0, 1), (1, 4, 1), k=r))
                     else:
                         c = tuple(rng.choices(range(-3, 4), (1, 2, 6, 8, 6, 2, 1), k=r))
                     if not any(c) or any(is_parallel(c, a) for a in accepted):
@@ -317,12 +320,15 @@ class TestIncrementalChecker:
                         named = [a for k, a in enumerate(accepted) if checker.conflict >> k & 1]
                         assert not is_delta_modular(
                             IntMatrix.from_cols(units + named + [list(c)]), delta)[0]
-                self._assert_held_minors(checker)
+                widest = max(widest, self._assert_held_minors(checker))
         assert edges_after_extras >= 20
+        assert widest >= 4
 
     @staticmethod
-    def _assert_held_minors(checker):
+    def _assert_held_minors(checker) -> int:
+        """Check every held minor; return the most extras one of them has."""
         assert len(checker.minors) == len(checker.sums)
+        widest = 0
         for k, table in enumerate(checker.minors):
             for rest, held in table.items():
                 ks = rest + (k,)
@@ -334,6 +340,8 @@ class TestIncrementalChecker:
                     sub = IntMatrix.from_rows(
                         [[checker.sums[c][mask] for c in ks] for mask in fam])
                     assert value == det_cofactor(sub)
+                    widest = max(widest, len(ks))
+        return widest
 
     def test_violation_through_part_connected_after_extras(self):
         # the only violating minor uses the part {0, 1}, which the edge

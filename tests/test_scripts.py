@@ -4,7 +4,7 @@
 ``scripts/profile_atlas.py`` and ``scripts/cli_snapshot.py``; a change that
 moves any catalog entry, witness, line profile, or the value, witness or
 first violator of a bound that the CLI prints shows up here as a text
-difference.
+difference. Each script runs under plain ``python`` and under ``python -O``.
 """
 
 import os
@@ -17,11 +17,24 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["extension_catalog", "profile_atlas", "cli_snapshot"])
-def test_script_stdout_matches_snapshot(name):
+SCRIPTS = ["extension_catalog", "profile_atlas", "cli_snapshot"]
+
+
+def _assert_stdout_matches_snapshot(name: str, *flags: str) -> None:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{name}.py")],
+    proc = subprocess.run([sys.executable, *flags, str(ROOT / "scripts" / f"{name}.py")],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (ROOT / "tests" / "data" / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_stdout_matches_snapshot(name):
+    _assert_stdout_matches_snapshot(name)
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_stdout_matches_snapshot_under_optimize(name):
+    # python -O strips every assert, so no result may hang on one
+    _assert_stdout_matches_snapshot(name, "-O")

@@ -216,11 +216,28 @@ class TestGreedy:
         seeds = list(self._seeds())
         dets = [abs(det(m.submatrix(range(m.rows), _pivot_cols(m)))) for _, m in seeds]
         assert sum(d > 1 for d in dets) >= 5
-        for delta, seed in seeds:
+        for (delta, seed), d in zip(seeds, dets):
             cert = max_columns_search(SearchConfig(delta, seed.rows, "greedy-seeded",
                                                    seed_matrix=seed))
             assert cert.best_matrix == _greedy_from_scratch(seed, delta)
-            assert not cert.optimal and cert.stats["checkers"] == {}
+            assert not cert.optimal
+            # named as an exhaustive mode names a basis of the same |det|
+            assert list(cert.stats["checkers"]) == [
+                "identity-anchored" if d == 1 else "general"]
+
+    def test_node_limit_stops_the_pass(self):
+        # five columns of the sporadic matrix still grow to 10 at (3, 3)
+        seed = sporadic_rank3().submatrix(range(3), range(5))
+        full = max_columns_search(SearchConfig(3, 3, "greedy-seeded", seed_matrix=seed))
+        assert full.stats["stop"] == "exhausted"
+        limit = 5
+        cert = max_columns_search(SearchConfig(3, 3, "greedy-seeded", seed_matrix=seed,
+                                               node_limit=limit))
+        assert cert.nodes_explored == cert.stats["nodes"] == limit + 1
+        assert cert.stats["stop"] == "node-limit" and not cert.optimal
+        assert verify_is_feasible(cert.best_matrix, 3)
+        assert cert.best_matrix.columns()[:seed.cols] == seed.columns()
+        assert seed.cols < cert.best_count < full.best_count
 
     def test_rejected_seed_column_raises(self, monkeypatch):
         monkeypatch.setattr(_GeneralChecker, "try_add", lambda self, col: False)
@@ -697,7 +714,10 @@ PINNED_STATS = [
                                "minorHits": 1853, "minorFills": 322}}}),
     (SearchConfig(3, 3, "greedy-seeded", seed_matrix=sporadic_rank3()),
      {"nodes": 145, "pairFilterSkips": 0, "orbitSkips": 0, "colourSkips": 0,
-      "conflictSkips": 0, "stop": "exhausted", "checkers": {}}),
+      "conflictSkips": 0, "stop": "exhausted",
+      "checkers": {
+         "identity-anchored": {"tryAdd": 142, "accepted": 8,
+                               "minorHits": 12, "minorFills": 18}}}),
 ]
 
 
