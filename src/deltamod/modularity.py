@@ -70,6 +70,15 @@ _MAX_FAST_ROWS = 12
 # entries that one batch of minor-store rows gathers: its rows of X and
 # the store rows one level down
 _BATCH_ENTRIES = 1 << 14
+# int32 colex blocks at least this wide are built with ``np.einsum``'s
+# sum of products, the others with ``np.matmul``. One int32 store row of
+# 7 terms (2-core VM, numpy 2.4.6, best of 7 x 2,000 calls): einsum took
+# 9.7 us against matmul's 37 us at width 5,000 and 3.6 against 4.7 us at
+# 512, both about 3 us at 256, and 3.0 against 2.2 us at 128, where
+# einsum's larger fixed cost a call outweighs its faster loop. On int64
+# rows the two tie up to width 5,000; on object rows einsum is 1.3-1.5x
+# slower.
+_EINSUM_WIDTH = 256
 
 
 @dataclass(frozen=True)
@@ -221,6 +230,20 @@ def _row_set(mask: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return rank(rows), rows, tuple(rank(rows[:p] + rows[p + 1:]) for p in range(len(rows)))
 
 
+def _grow(trans: list[tuple[int, int]], rows) -> list[tuple[int, int]]:
+    """Each signed transversal of ``trans`` extended by each of ``rows``:
+    appending row i flips the sign when an odd number of rows of the
+    transversal lie above i."""
+    return [(rs | 1 << i, -s if (rs >> i).bit_count() & 1 else s) for rs, s in trans for i in rows]
+
+
+def _first_max(values: np.ndarray, hi: int, lo: int) -> int:
+    """The first index of ``values``, whose maximum is hi and minimum lo,
+    where |value| is largest."""
+    local = max(hi, -lo)
+    return min(int(np.argmax(values == v)) for v in {hi, lo} if abs(v) == local)
+
+
 @lru_cache(maxsize=64)
 def _blocks(nx: int, t: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
     """The layout of level t of the minor store over nx columns: the colex
@@ -245,14 +268,18 @@ def _store_layout(r: int, nx: int, depth: int, dtype: np.dtype):
     ``depth`` parts.
 
     The worst case adds to the levels X and the larger of two scratches,
-    which are never alive at once: a family's sum of several store rows (up
-    to C(nx, t) entries) with the boolean masks that ``_inspect`` takes of
-    it, priced as twice the sum, and the largest batch of ``_build_level``,
-    what it gathers (``_blocks``) and, when it holds more than one row, its
-    output. Every term is in ``dtype``.
+    which are never alive at once. One is the sums of a node at level t,
+    priced as (2**f - 1 + f) * C(nx, t) entries for the f = r - t + 1 rows
+    that its kids' parts can take at most: ``_evaluate``'s block holds at
+    most 2**f - 1 rows, one per kid or helper single, each a connected part
+    of those rows, and the boolean masks that it takes of a row fit in the
+    other f rows. This covers a bounded scan's one family sum with its
+    masks, twice C(nx, t). The other is the largest batch of
+    ``_build_level``, what it gathers (``_blocks``) and, when it holds more
+    than one row, its output. Every term is in ``dtype``.
     """
     shapes = tuple((comb(r, t), comb(nx, t)) for t in range(2, depth + 1))
-    scratch = 2 * max(comb(nx, t) for t in range(1, depth + 1))
+    scratch = max((2 ** (r - t + 1) + r - t) * comb(nx, t) for t in range(1, depth + 1))
     for t, (rows, size) in enumerate(shapes, 2):
         n = min(rows, _blocks(nx, t)[1])
         scratch = max(scratch, n * (t * (nx + comb(nx, t - 1)) + (size if n > 1 else 0)))
@@ -293,17 +320,35 @@ class _SubsetScan:
 
     whose second factors are a prefix of the row of R - R_p one level down.
     Every level is built by one rule: in batches of rows (level 2 whole, if
-    one batch holds it), one matrix product per block for the whole batch.
-    A batch of one row is written in place, a larger one through one
+    one batch holds it), one product per block for the whole batch, a sum
+    of t products per entry. The kernel is chosen by the block's width and
+    dtype: ``np.einsum``'s sum of products for int32 blocks at least
+    ``_EINSUM_WIDTH`` wide, integer ``np.matmul`` otherwise, where einsum's
+    larger cost a call (or its slower int64 and object loops) would not
+    pay. A batch of one row is written in place, a larger one through one
     scratch array that is scattered into the store once. The levels are
     views of one buffer. For 7 rows and 24 columns they hold 2,629,406
     minors, about 10.5 MB in int32 (21 MB in int64).
 
-    Every value the scan forms, a term or partial sum of that expansion or
-    of a transversal sum, is bounded by t! * B**t for B the largest l1 norm
-    of a column of X: expanded over the t! permutations, the absolute terms
-    of one permutation sum to a product of t factors, each the l1 norm of
-    one column of X over the rows of one part, at most B. The store takes
+    A scan with no bound (``modularity_level``) evaluates all kids of a DFS
+    node together (``_evaluate``): each row of the kids' parts gets its
+    single, the signed sum of its transversals' store rows, once; a kid of
+    several rows costs one add, an earlier kid plus a single; and one
+    maximum and one minimum reduction serve the node's whole block. A scan
+    with a bound (``is_delta_modular``) extends kid by kid (``_extend``):
+    its first violation ends the scan, so sums of later kids, and the store
+    rows that they would build first, are never needed. Either way, kids
+    are inspected in mask order just before their subtrees, the best
+    value and its witness are the same, and a kid whose minors all vanish
+    is not extended.
+
+    Every value the scan forms, a term or partial sum of that expansion, of
+    a transversal sum or of a node's block, is bounded by t! * B**t for B
+    the largest l1 norm of a column of X: each such value is part of the
+    Cauchy-Binet sum of a minor of a family of disjoint row sets, and
+    expanded over the t! permutations, the absolute terms of one
+    permutation sum to a product of t factors, each the l1 norm of one
+    column of X over the rows of one part, at most B. The store takes
     the dtype ``_batch.scan_dtype(max_depth, B)`` of that bound: int32 when
     max_depth! * B**max_depth < 2**31, half the bytes of int64 and half
     the memory traffic, else int64 or exact Python ints. One code path
@@ -345,12 +390,97 @@ class _SubsetScan:
         if free is None:
             free = self.free[used] = tuple((idx, mk) for idx, mk in enumerate(self.conn)
                                            if not mk & used)
-        for idx, mask in free[bisect_left(free, (start,)):]:  # (start,) < (start, part)
+        kids = free[bisect_left(free, (start,)):]  # (start,) < (start, part)
+        if self.bound is not None:
+            for idx, mask in kids:
+                self.path.append(mask)
+                child = self._extend(trans, mask, depth)
+                if child is not None:
+                    self._rec(idx + 1, used | mask, child)
+                self.path.pop()
+            return
+        if not kids:
+            return
+        for (idx, mask), (local, at, child) in zip(kids, self._evaluate(trans, kids, depth)):
             self.path.append(mask)
-            child = self._extend(trans, mask, depth)
+            if local > self.best:  # ``_evaluate`` found ``at`` for every such kid
+                self.best = local
+                self.best_at = (tuple(self.path), _batch.colex_unrank(depth + 1, at))
             if child is not None:
                 self._rec(idx + 1, used | mask, child)
             self.path.pop()
+
+    def _evaluate(self, trans: list[tuple[int, int]], kids, depth: int) -> list[tuple]:
+        """(largest |minor|, its first S or None, transversals or None) of
+        the family extended by each kid, from one block of sums.
+
+        Row i of the kids' parts gets its single, the signed sum of the
+        store rows R + {i} over the transversals R of ``trans``; a kid is
+        the sum of the singles of its rows, taken as an earlier kid (the
+        kid without its lowest row) plus one single when that is a kid.
+        Each block row holds its sum times the sign of its first term, as
+        ``sign`` records, which leaves |values| alone. Every row is the
+        minor vector of a family of disjoint row sets, so the scan's bound
+        covers it and each partial sum (class docstring). The first S is
+        found only for a kid that beats the best so far and every kid
+        before it, the only kids that can raise the best. The block dies
+        here, so no block is alive while a deeper node is evaluated."""
+        t = depth + 1
+        masks = [mask for _, mask in kids]
+        union = 0
+        for mask in masks:
+            union |= mask
+        singles = {i: _grow(trans, (i,)) for i in _row_set(union)[1]}
+        missing = [rs for ts in singles.values() for rs, _ in ts if rs not in self.built]
+        if missing:
+            self._build(missing, t)
+        level = self.levels[t]
+        # block rows: the kids in order, then the helper singles, the rows
+        # whose one-row part is no kid; a one-row kid is its single
+        pos = {mask: k for k, mask in enumerate(masks)}
+        for i in singles:
+            pos.setdefault(1 << i, len(pos))
+        block = np.empty((len(pos), level.shape[1]), level.dtype)
+        sign = [1] * len(pos)
+        for i, ((rs, s), *others) in singles.items():
+            k = pos[1 << i]
+            out = block[k]
+            acc = level[_row_set(rs)[0]]
+            for rs, s_rs in others:
+                acc = (np.add if s_rs == s else np.subtract)(acc, level[_row_set(rs)[0]], out=out)
+            if not others:
+                np.copyto(out, acc)
+            sign[k] = s
+        for k, mask in enumerate(masks):
+            low = mask & -mask
+            if low != mask:
+                rest = mask ^ low
+                terms = [pos[rest], pos[low]] if rest in pos else [
+                    pos[1 << i] for i in _row_set(mask)[1]]
+                a, *others = terms
+                acc = block[a]
+                for b in others:
+                    acc = (np.add if sign[b] == sign[a] else np.subtract)(
+                        acc, block[b], out=block[k])
+                sign[k] = sign[a]
+        kid_block = block[:len(masks)]
+        his = np.maximum.reduce(kid_block, axis=1).tolist()
+        los = np.minimum.reduce(kid_block, axis=1).tolist()
+        evals = []
+        top = self.best
+        for values, mask, hi, lo in zip(kid_block, masks, his, los):
+            if hi == lo == 0:
+                evals.append((0, None, None))
+                continue
+            local = max(hi, -lo)
+            first = None
+            if local > top:
+                top = local
+                first = _first_max(values, hi, lo)
+            low = mask & -mask
+            evals.append((local, first, singles[low.bit_length() - 1] if low == mask
+                          else _grow(trans, _row_set(mask)[1])))
+        return evals
 
     def _extend(self, trans: list[tuple[int, int]], mask: int, depth: int
                 ) -> list[tuple[int, int]] | None:
@@ -358,8 +488,7 @@ class _SubsetScan:
         the signed sum of the store rows of its transversals, and return
         the transversals; None when every minor is zero. The sum ends here,
         so no family's sum is alive while a store row is built."""
-        child = [(rs | 1 << i, -s if (rs >> i).bit_count() & 1 else s)
-                 for rs, s in trans for i in _row_set(mask)[1]]
+        child = _grow(trans, _row_set(mask)[1])
         missing = [rs for rs, _ in child if rs not in self.built]
         if missing:
             self._build(missing, depth + 1)
@@ -398,17 +527,21 @@ class _SubsetScan:
         level, below = self.levels[t], self.levels[t - 1]
         for lo in range(0, len(masks), step):
             meta = [_row_set(mk) for mk in masks[lo:lo + step]]
-            # coef[a, 0, p, c] = +-X[row p of R_a, c], subs[a, p] = the row of R_a - row p
+            # coef[a, p, c] = +-X[row p of R_a, c], subs[a, p] = the row of R_a - row p
             coef = x[[m[1] for m in meta]]
             coef *= signs[:, None]
-            coef = coef[:, None]
             subs = below[[m[2] for m in meta]]
-            # block c of row a is coef[a, 0, :, c] @ subs[a, :, :width]: one
+            # block c of row a is coef[a, :, c] @ subs[a, :, :width]: one
             # row is written in place, more through one scratch array
             n = len(meta)
             out = level[meta[0][0]][None] if n == 1 else np.empty((n, level.shape[1]), x.dtype)
             for c, start, width in spans:
-                np.matmul(coef[..., c], subs[..., :width], out=out[:, None, start:start + width])
+                if width < _EINSUM_WIDTH or x.dtype != np.int32:
+                    np.matmul(coef[:, None, :, c], subs[..., :width],
+                              out=out[:, None, start:start + width])
+                else:
+                    np.einsum("ap,apw->aw", coef[..., c], subs[..., :width],
+                              out=out[:, start:start + width])
             if n > 1:
                 level[[m[0] for m in meta]] = out
             del coef, subs, out  # before the next batch: one batch is priced
@@ -422,7 +555,7 @@ class _SubsetScan:
             i = int(np.argmax((values > self.bound) | (values < -self.bound)))
             raise _ScanHit(abs(int(values[i])), tuple(self.path), _batch.colex_unrank(k, i))
         if local > self.best:
-            i = min(int(np.argmax(values == v)) for v in {hi, lo} if abs(v) == local)
+            i = _first_max(values, hi, lo)
             self.best = local
             self.best_at = (tuple(self.path), _batch.colex_unrank(k, i))
 

@@ -52,9 +52,10 @@ conflict skip if it ends a block but a learned conflict set already rules
 it out (Learned conflicts below), a colour skip if it could still be taken
 in the last block (the colouring bound below cut it), else an orbit skip
 at the top level and a pair-filter skip below it. The node that exceeds
-the budget is counted, not examined, and none of these, so in the
-exhaustive modes the skips, the ``try_add`` calls and that node add up to
-the node count.
+the budget is counted, not examined, and none of these, so the skips,
+the ``try_add`` calls and that node add up to the node count. Greedy's
+nodes are the universe columns that its seed does not hold, each offered
+to ``try_add``; the seed's own columns are loaded uncounted.
 
 Pair filter. For a seed basis H, bit j of candidate i's compatibility row
 is set iff H plus candidates i and j is delta-modular. The minors that use
@@ -595,13 +596,14 @@ def max_columns_search(config: SearchConfig) -> SearchCertificate:
         for k, c in enumerate(cols):
             if k not in basis and not checker.try_add(c):
                 raise RuntimeError("the checker rejected a column of a feasible seed")
+        checker.calls = checker.accepted = 0  # the seed's columns are no nodes
         # universe columns are canonical and pairwise non-parallel
         seen = {_canonical(c) for c in cols}
         for c in column_universe(delta, r):
-            if not budget.charge(1):
-                break
             if c in seen:
                 continue
+            if not budget.charge(1):
+                break
             if checker.try_add(c):
                 cols.append(c)
         matrix = IntMatrix.from_cols(cols)

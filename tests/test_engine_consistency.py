@@ -267,6 +267,44 @@ class TestDecisionWitnessOrder:
                 assert taken and all(levels and all(a.dtype == dtype for a in levels)
                                      for levels in taken)
 
+    def test_wide_store_blocks_in_every_dtype(self, monkeypatch):
+        # _tiered's shape with 26 small extras, each with an entry of +-2
+        # so that none is a unit or an edge column: the last colex blocks
+        # of level 3 are C(24, 2) = 276 to C(26, 2) = 325 wide, built by
+        # the einsum kernel in int32 and by matmul in the other tiers, like
+        # the narrower ones. Small entries keep the distinct minors, and so
+        # the bounds checked, few. A scan reads the top level only through
+        # |minor|, so the whole store is also checked with its signs
+        taken = self._taken_stores(monkeypatch)
+        wide = []
+        einsum = np.einsum
+
+        def spy(spec, a, b, **kw):
+            wide.append(b.shape[-1])
+            return einsum(spec, a, b, **kw)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        rng = random.Random(3236)
+        for big, dtype in [(20, np.int32), (711, np.int64), (2 ** 21, object)]:
+            del taken[:], wide[:]
+            cols = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -1, 0], [big - 7, 3, -4]]
+            cols += [[rng.randint(-1, 1), rng.randint(-1, 1), rng.choice((-2, 2))]
+                     for _ in range(26)]
+            self._matches_naive_identity_scan(IntMatrix.from_cols(cols))
+            assert taken and all(levels and all(a.dtype == dtype for a in levels)
+                                 for levels in taken)
+            assert sorted(set(wide)) == ([276, 300, 325] if dtype == np.int32 else [])
+            extras = cols[4:]
+            store = modularity._SubsetScan(np.array(extras, dtype=dtype).T, (), None, 3)
+            store._build([0b111], 3)
+            for t in (2, 3):
+                subsets = sorted(combinations(range(len(extras)), t), key=lambda s: s[::-1])
+                for rows in combinations(range(3), t):
+                    want = [det_cofactor(IntMatrix.from_rows([[extras[k][i] for k in s]
+                                                              for i in rows]))
+                            for s in subsets]
+                    assert store.levels[t][colex_rank(rows)].tolist() == want
+
     def test_general_scan_dtype_on_both_sides_of_the_int32_bound(self, monkeypatch):
         # no unit basis, so the general scan runs in scan_dtype(3, B) for
         # the largest |entry| B: 3! * 710**3 < 2**31 <= 3! * 711**3. Wide

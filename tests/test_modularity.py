@@ -417,15 +417,26 @@ def test_scan_frees_its_store():
 
 
 def test_family_count_of_a_construction_scan(monkeypatch):
-    # one _extend per DFS node: the families that the scan of the (4)
-    # construction at delta 5, rank 7 visits, zero families included
-    calls = []
-    extend = modularity._SubsetScan._extend
+    # each family that the scan inspects puts its last part on the DFS
+    # path once, zero families included: the scan of the (4) construction
+    # at delta 5, rank 7 visits 4,139, by node blocks with no bound and
+    # family by family under one that no minor passes
+    families = []
 
-    def counted(self, *args):
-        calls.append(None)
-        return extend(self, *args)
+    class Path(list):
+        def append(self, mask):
+            families.append(mask)
+            super().append(mask)
 
-    monkeypatch.setattr(modularity._SubsetScan, "_extend", counted)
-    assert modularity_level(build_A(5, (4,), 7).matrix).delta == 5
-    assert len(calls) == 4139
+    class Counted(modularity._SubsetScan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.path = Path()
+
+    monkeypatch.setattr(modularity, "_SubsetScan", Counted)
+    m = build_A(5, (4,), 7).matrix
+    assert modularity_level(m).delta == 5
+    assert len(families) == 4139
+    del families[:]
+    assert is_delta_modular(m, 5) == (True, None)
+    assert len(families) == 4139

@@ -230,14 +230,16 @@ class TestGreedy:
         seed = sporadic_rank3().submatrix(range(3), range(5))
         full = max_columns_search(SearchConfig(3, 3, "greedy-seeded", seed_matrix=seed))
         assert full.stats["stop"] == "exhausted"
-        limit = 5
+        # nodes are the universe columns the seed does not hold: the first
+        # three are all taken, and the fourth exceeds the limit
+        limit = 3
         cert = max_columns_search(SearchConfig(3, 3, "greedy-seeded", seed_matrix=seed,
                                                node_limit=limit))
         assert cert.nodes_explored == cert.stats["nodes"] == limit + 1
         assert cert.stats["stop"] == "node-limit" and not cert.optimal
         assert verify_is_feasible(cert.best_matrix, 3)
         assert cert.best_matrix.columns()[:seed.cols] == seed.columns()
-        assert seed.cols < cert.best_count < full.best_count
+        assert cert.best_count == seed.cols + limit < full.best_count
 
     def test_rejected_seed_column_raises(self, monkeypatch):
         monkeypatch.setattr(_GeneralChecker, "try_add", lambda self, col: False)
@@ -713,10 +715,10 @@ PINNED_STATS = [
          "identity-anchored": {"tryAdd": 72, "accepted": 20,
                                "minorHits": 1853, "minorFills": 322}}}),
     (SearchConfig(3, 3, "greedy-seeded", seed_matrix=sporadic_rank3()),
-     {"nodes": 145, "pairFilterSkips": 0, "orbitSkips": 0, "colourSkips": 0,
+     {"nodes": 134, "pairFilterSkips": 0, "orbitSkips": 0, "colourSkips": 0,
       "conflictSkips": 0, "stop": "exhausted",
       "checkers": {
-         "identity-anchored": {"tryAdd": 142, "accepted": 8,
+         "identity-anchored": {"tryAdd": 134, "accepted": 0,
                                "minorHits": 12, "minorFills": 18}}}),
 ]
 
