@@ -42,23 +42,31 @@ def _emit(data: dict, as_json: bool, human: str) -> None:
         print(human)
 
 
+def _emit_stats(stats: dict | None) -> None:
+    if stats is not None:
+        print(json.dumps(stats, sort_keys=True), file=sys.stderr)
+
+
 def _cmd_check(args) -> int:
     m = _read_matrix(args.matrix)
-    ok, witness = is_delta_modular(m, args.delta)
+    stats = {} if args.stats else None
+    ok, witness = is_delta_modular(m, args.delta, stats)
     if ok:
         _emit({"delta": args.delta, "holds": True}, args.json,
               f"holds: every full-rank subdeterminant is within {args.delta}")
-        return 0
-    data = {"delta": args.delta, "holds": False,
-            "witness": witness.to_json_dict()}
-    print(json.dumps(data, sort_keys=True))
-    return 1
+    else:
+        print(json.dumps({"delta": args.delta, "holds": False,
+                          "witness": witness.to_json_dict()}, sort_keys=True))
+    _emit_stats(stats)
+    return 0 if ok else 1
 
 
 def _cmd_delta(args) -> int:
     m = _read_matrix(args.matrix)
-    report = modularity_level(m)
+    stats = {} if args.stats else None
+    report = modularity_level(m, stats)
     _emit(report.to_json_dict(), args.json, str(report.delta))
+    _emit_stats(stats)
     return 0
 
 
@@ -158,8 +166,7 @@ def _cmd_search(args) -> int:
                           seed_matrix=seed)
     cert = max_columns_search(config)
     print(json.dumps(cert.to_json_dict(), sort_keys=True))
-    if args.stats:
-        print(json.dumps(cert.stats, sort_keys=True), file=sys.stderr)
+    _emit_stats(cert.stats if args.stats else None)
     return 0
 
 
@@ -194,15 +201,21 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_json(p):
         p.add_argument("--json", action="store_true")
 
+    def add_stats(p, what):
+        p.add_argument("--stats", action="store_true",
+                       help=f"write {what} statistics as one JSON object to stderr")
+
     p = sub.add_parser("check", help="decide delta-modularity")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("matrix")
     add_json(p)
+    add_stats(p, "scan")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("delta", help="exact modularity level")
     p.add_argument("matrix")
     add_json(p)
+    add_stats(p, "scan")
     p.set_defaults(fn=_cmd_delta)
 
     p = sub.add_parser("construct", help="emit an extremal family matrix")
@@ -254,8 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-limit", type=int, default=10 ** 8)
     p.add_argument("--time-limit", type=float, default=600.0)
     p.add_argument("--seed")
-    p.add_argument("--stats", action="store_true",
-                   help="write search statistics as one JSON object to stderr")
+    add_stats(p, "search")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("verify-suite", help="run the acceptance battery")

@@ -68,8 +68,13 @@ from .intmatrix import DegenerateRankError, IntMatrix, SubmatrixWitness
 
 _MAX_FAST_ROWS = 12
 # entries that one batch of minor-store rows gathers: its rows of X and
-# the store rows one level down
-_BATCH_ENTRIES = 1 << 14
+# the store rows one level down. Building the whole int32 store of each
+# delta 5, rank 7 construction (7 rows, 24 columns; 2-core VM, numpy
+# 2.4.6, best of 7) took 8.9-9.6 ms an item at 2**14, where levels 5 to 7
+# build one row a batch, and 7.3-8.0 ms from 2**17 to 2**20 (at 2**18,
+# level 5 builds four rows a batch). Up to 2**19 the store's price at
+# 7 x 24 stays 14,287,656 bytes in int32; 2**20 raises it to 17,795,600.
+_BATCH_ENTRIES = 1 << 18
 # int32 colex blocks at least this wide are built with ``np.einsum``'s
 # sum of products, the others with ``np.matmul``. One int32 store row of
 # 7 terms (2-core VM, numpy 2.4.6, best of 7 x 2,000 calls): einsum took
@@ -275,8 +280,10 @@ def _store_layout(r: int, nx: int, depth: int, dtype: np.dtype):
     of those rows, and the boolean masks that it takes of a row fit in the
     other f rows. This covers a bounded scan's one family sum with its
     masks, twice C(nx, t). The other is the largest batch of
-    ``_build_level``, what it gathers (``_blocks``) and, when it holds more
-    than one row, its output. Every term is in ``dtype``.
+    ``_build_level``: n = min(C(r, t), rows of a batch by ``_blocks``)
+    rows at level t, each gathering t rows of X and t store rows one level
+    down, t * (nx + C(nx, t - 1)) entries, and when n > 1 an output of
+    C(nx, t) entries a row. Every term is in ``dtype``.
     """
     shapes = tuple((comb(r, t), comb(nx, t)) for t in range(2, depth + 1))
     scratch = max((2 ** (r - t + 1) + r - t) * comb(nx, t) for t in range(1, depth + 1))
@@ -342,6 +349,14 @@ class _SubsetScan:
     value and its witness are the same, and a kid whose minors all vanish
     is not extended.
 
+    A family gets a DFS frame (``_rec``) only when it can have kids: it has
+    fewer than ``max_depth`` parts, and some part disjoint from its union
+    has an index above its last part's. Its parent finds those kids
+    (``_kids``) and passes them down with its transversals, which a full
+    scan grows only for such a family. In the (4) construction at delta 5
+    and rank 7, 3,263 of the 4,139 families can have no kids, so both
+    scans open 877 frames, the root's included.
+
     Every value the scan forms, a term or partial sum of that expansion, of
     a transversal sum or of a node's block, is bounded by t! * B**t for B
     the largest l1 norm of a column of X: each such value is part of the
@@ -378,41 +393,56 @@ class _SubsetScan:
             start += a * b
         self.built = {1 << i for i in range(x.shape[0])}
         self.free = _free_parts(conn)
+        self.families = self.frames = 0  # families inspected, ``_rec`` calls
 
     def run(self) -> None:
-        self._rec(0, 0, [(0, 1)])
+        self._rec(0, self._kids(0, 0, 0), [(0, 1)])
 
-    def _rec(self, start: int, used: int, trans: list[tuple[int, int]]) -> None:
-        depth = len(self.path)
+    def _kids(self, depth: int, start: int, used: int) -> tuple[tuple[int, int], ...]:
+        """The kids of a family of ``depth`` parts, union ``used`` and last
+        part of index start - 1, as (index, part) pairs: the parts disjoint
+        from ``used`` with index ``start`` or above, none at ``max_depth``."""
         if depth == self.max_depth:
-            return
+            return ()
         free = self.free.get(used)
         if free is None:
             free = self.free[used] = tuple((idx, mk) for idx, mk in enumerate(self.conn)
                                            if not mk & used)
-        kids = free[bisect_left(free, (start,)):]  # (start,) < (start, part)
+        return free[bisect_left(free, (start,)):]  # (start,) < (start, part)
+
+    def _rec(self, used: int, kids, trans: list[tuple[int, int]]) -> None:
+        """Inspect the kids of the family on ``path``, whose union is
+        ``used`` and whose transversals are ``trans``, then recurse into
+        each kid that has kids itself, handing it those kids (``_kids``):
+        a frame opens only for a family that can have kids."""
+        self.frames += 1
+        depth = len(self.path)
         if self.bound is not None:
             for idx, mask in kids:
                 self.path.append(mask)
+                self.families += 1
                 child = self._extend(trans, mask, depth)
                 if child is not None:
-                    self._rec(idx + 1, used | mask, child)
+                    grand = self._kids(depth + 1, idx + 1, used | mask)
+                    if grand:
+                        self._rec(used | mask, grand, child)
                 self.path.pop()
             return
-        if not kids:
-            return
-        for (idx, mask), (local, at, child) in zip(kids, self._evaluate(trans, kids, depth)):
+        self.families += len(kids)
+        for (idx, mask), (local, at, grand, child) in zip(
+                kids, self._evaluate(trans, kids, used, depth)):
             self.path.append(mask)
             if local > self.best:  # ``_evaluate`` found ``at`` for every such kid
                 self.best = local
                 self.best_at = (tuple(self.path), _batch.colex_unrank(depth + 1, at))
             if child is not None:
-                self._rec(idx + 1, used | mask, child)
+                self._rec(used | mask, grand, child)
             self.path.pop()
 
-    def _evaluate(self, trans: list[tuple[int, int]], kids, depth: int) -> list[tuple]:
-        """(largest |minor|, its first S or None, transversals or None) of
-        the family extended by each kid, from one block of sums.
+    def _evaluate(self, trans: list[tuple[int, int]], kids, used: int,
+                  depth: int) -> list[tuple]:
+        """(largest |minor|, its first S or None, kids and transversals, or
+        (), None) of the family extended by each kid, from one block of sums.
 
         Row i of the kids' parts gets its single, the signed sum of the
         store rows R + {i} over the transversals R of ``trans``; a kid is
@@ -423,7 +453,9 @@ class _SubsetScan:
         minor vector of a family of disjoint row sets, so the scan's bound
         covers it and each partial sum (class docstring). The first S is
         found only for a kid that beats the best so far and every kid
-        before it, the only kids that can raise the best. The block dies
+        before it, the only kids that can raise the best. A kid whose
+        minors do not all vanish gets its kids (``_kids``), and when it has
+        some, its transversals: a one-row kid's are its single's. The block dies
         here, so no block is alive while a deeper node is evaluated."""
         t = depth + 1
         masks = [mask for _, mask in kids]
@@ -468,18 +500,22 @@ class _SubsetScan:
         los = np.minimum.reduce(kid_block, axis=1).tolist()
         evals = []
         top = self.best
-        for values, mask, hi, lo in zip(kid_block, masks, his, los):
+        for k, ((idx, mask), hi, lo) in enumerate(zip(kids, his, los)):
             if hi == lo == 0:
-                evals.append((0, None, None))
+                evals.append((0, None, (), None))
                 continue
             local = max(hi, -lo)
             first = None
             if local > top:
                 top = local
-                first = _first_max(values, hi, lo)
-            low = mask & -mask
-            evals.append((local, first, singles[low.bit_length() - 1] if low == mask
-                          else _grow(trans, _row_set(mask)[1])))
+                first = _first_max(kid_block[k], hi, lo)
+            grand = self._kids(t, idx + 1, used | mask)
+            child = None
+            if grand:
+                low = mask & -mask
+                child = singles[low.bit_length() - 1] if low == mask else _grow(
+                    trans, _row_set(mask)[1])
+            evals.append((local, first, grand, child))
         return evals
 
     def _extend(self, trans: list[tuple[int, int]], mask: int, depth: int
@@ -499,7 +535,7 @@ class _SubsetScan:
         for rs, s in others:  # signs relative to the first leave |values| alone
             values = out = (np.add if s == first else np.subtract)(
                 values, level[_row_set(rs)[0]], out=out)
-        hi, lo = int(values.max()), int(values.min())
+        hi, lo = int(np.maximum.reduce(values)), int(np.minimum.reduce(values))
         if hi == lo == 0:
             return None
         self._inspect(values, hi, lo, depth + 1)
@@ -560,10 +596,12 @@ class _SubsetScan:
             self.best_at = (tuple(self.path), _batch.colex_unrank(k, i))
 
 
-def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
-                   ) -> tuple[int, SubmatrixWitness]:
+def _scan_identity(m: IntMatrix, split: _Split, bound: int | None,
+                   stats: dict | None = None) -> tuple[int, SubmatrixWitness]:
     r = m.rows
     value, hit = 1, ((), ())  # the empty family: the unit basis itself
+    if stats is not None:  # no general columns: no store and no family
+        stats.update(dtype=None, families=0, frames=0, storeRows=0)
     if split.extras:
         cols = m.columns()
         extras_cols = [cols[j] for j in split.extras]
@@ -579,6 +617,9 @@ def _scan_identity(m: IntMatrix, split: _Split, bound: int | None
             value, hit = scan.best, scan.best_at
         except _ScanHit as h:
             value, hit = h.value, (h.family, h.combo)
+        if stats is not None:
+            stats.update(dtype=str(dtype), families=scan.families, frames=scan.frames,
+                         storeRows=len(scan.built) - r)
     return value, checked_witness(m, *_witness_cols(*hit, split, r), value)
 
 
@@ -590,31 +631,48 @@ def _scan_general(m: IntMatrix, rows: tuple, bound: int | None
     return _scan_subdets(m, rows, bound)
 
 
-def _minor_scan(m: IntMatrix, bound: int | None) -> tuple[int, SubmatrixWitness]:
-    """The one choice of strategy: see the module docstring for the order."""
+def _minor_scan(m: IntMatrix, bound: int | None, stats: dict | None = None
+                ) -> tuple[int, SubmatrixWitness]:
+    """The one choice of strategy: see the module docstring for the order.
+
+    ``stats``, when given, receives the ``strategy`` that ran and the
+    ``dtype`` of its store or kernel (None when an identity-anchored scan
+    has no general column). An identity-anchored scan adds the
+    ``families`` it inspected, its DFS ``frames`` and the ``storeRows`` it
+    built above level 1; the general scan adds its ``minors``, C(rows, r)
+    row sets and C(cols, r) column sets for the rank r.
+    """
     split = _split_identity_anchored(m) if m.rows <= _MAX_FAST_ROWS else None
     if split is not None:
-        return _scan_identity(m, split, bound)  # full row rank: m is its own R*
+        if stats is not None:
+            stats["strategy"] = "identity-anchored"
+        return _scan_identity(m, split, bound, stats)  # full row rank: m is its own R*
     rows = _row_pass(m)
     top = rows[2]
     if len(top) < m.rows and len(top) <= _MAX_FAST_ROWS:
         work = m.submatrix(top, range(m.cols))
         split = _split_identity_anchored(work)
         if split is not None:
-            value, wit = _scan_identity(work, split, bound)  # its witness takes every row
+            if stats is not None:
+                stats["strategy"] = "identity-anchored-rows"
+            value, wit = _scan_identity(work, split, bound, stats)  # its witness takes every row
             return value, SubmatrixWitness(top, wit.col_indices, wit.det_value)
+    if stats is not None:
+        stats.update(strategy="general", dtype=str(rows[0].dtype),
+                     minors=comb(m.rows, len(top)) + comb(m.cols, len(top)))
     return _scan_general(m, rows, bound)
 
 
-def is_delta_modular(m: IntMatrix, delta: int
+def is_delta_modular(m: IntMatrix, delta: int, stats: dict | None = None
                      ) -> tuple[bool, SubmatrixWitness | None]:
     """Decide whether all rank-sized subdeterminants have |det| <= delta.
 
-    Aborts at the first violation and returns it as a witness.
+    Aborts at the first violation and returns it as a witness. ``stats``,
+    when given, receives the scan's statistics (``_minor_scan``).
     """
     if delta < 1:
         raise ValueError("delta must be a positive integer")
-    value, witness = _minor_scan(m, delta)
+    value, witness = _minor_scan(m, delta, stats)
     if value > delta:
         return False, witness
     return True, None
@@ -633,13 +691,14 @@ def parallel_violations(m: IntMatrix) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-def modularity_level(m: IntMatrix) -> ModularityReport:
+def modularity_level(m: IntMatrix, stats: dict | None = None) -> ModularityReport:
     """Exact modularity level with witness and a pairwise-parallelism audit.
 
     The whole scan runs with no bound. To test a bound, ``is_delta_modular``
-    stops at the first minor above it.
+    stops at the first minor above it. ``stats``, when given, receives the
+    scan's statistics (``_minor_scan``).
     """
-    value, witness = _minor_scan(m, None)
+    value, witness = _minor_scan(m, None, stats)
     viol = parallel_violations(m)
     return ModularityReport(
         delta=value,

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -8,7 +9,7 @@ from deltamod.cli import run
 from deltamod.families import build_A, sporadic_rank3
 from deltamod.intmatrix import IntMatrix
 from deltamod.lines import line_length_multiset
-from deltamod.modularity import modularity_level
+from deltamod.modularity import append_zero_sum_row, modularity_level
 
 
 @pytest.fixture()
@@ -65,6 +66,58 @@ class TestDelta:
         data = json.loads(out)
         assert data["delta"] == 3
         assert data["pairwiseNonParallel"] is True
+
+
+class TestScanStats:
+    """``check --stats`` and ``delta --stats`` add one JSON object on stderr
+    and leave stdout and the exit code as they are."""
+
+    @staticmethod
+    def _both(capsys, *argv):
+        plain = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv, "--stats")
+        assert (code, out) == plain[:2] and plain[2] == ""
+        return code, json.loads(err)
+
+    @pytest.fixture()
+    def construction_file(self, tmp_path):
+        path = tmp_path / "a5-4-7.mat"
+        path.write_text(build_A(5, (4,), 7).matrix.to_text())
+        return str(path)
+
+    def test_identity_anchored_counts(self, capsys, construction_file):
+        # 4,139 families in 877 frames, with no bound and under bound 5;
+        # every row set above level 1 is built: 2**7 - 1 - 7
+        want = {"strategy": "identity-anchored", "dtype": "int32",
+                "families": 4139, "frames": 877, "storeRows": 120}
+        for argv in (("delta", construction_file), ("delta", "--json", construction_file),
+                     ("check", "--delta", "5", construction_file)):
+            assert self._both(capsys, *argv) == (0, want)
+        code, stats = self._both(capsys, "check", "--delta", "4", "--json", construction_file)
+        assert code == 1 and stats == dict(want, families=1552, frames=355)
+
+    def test_general_scan_counts_minors(self, capsys, tmp_path):
+        # no unit column: C(3, 3) row sets and C(5, 3) column sets
+        path = tmp_path / "general.mat"
+        path.write_text(IntMatrix.from_rows([[2, 1, 3, 1, 0], [1, 2, 5, 3, 2],
+                                             [0, 1, 1, 4, 3]]).to_text())
+        for argv in (("delta", str(path)), ("check", "--delta", "2", str(path))):
+            _, stats = self._both(capsys, *argv)
+            assert stats == {"strategy": "general", "dtype": "int32", "minors": 1 + comb(5, 3)}
+
+    def test_identity_anchored_scan_of_a_row_basis(self, capsys, tmp_path):
+        # a zero-sum row below a construction: the scan runs on the rows above
+        path = tmp_path / "tall.mat"
+        path.write_text(append_zero_sum_row(build_A(3, (2,), 3).matrix).to_text())
+        _, stats = self._both(capsys, "delta", str(path))
+        assert stats["strategy"] == "identity-anchored-rows" and stats["frames"] > 0
+
+    def test_no_general_column_means_no_store(self, capsys, tmp_path):
+        path = tmp_path / "graphic.mat"
+        path.write_text(IntMatrix.from_cols([[1, 0], [0, 1], [1, -1]]).to_text())
+        assert self._both(capsys, "delta", str(path)) == (0, {
+            "strategy": "identity-anchored", "dtype": None,
+            "families": 0, "frames": 0, "storeRows": 0})
 
 
 class TestConstruct:

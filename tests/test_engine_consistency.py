@@ -613,7 +613,7 @@ class TestScanLimit:
     # and 19 KiB at rank 7.
     UNPRICED_BYTES = 64 * 1024
 
-    def _peaks_within_price(self, monkeypatch, mats):
+    def _peaks_within_price(self, monkeypatch, mats, scan=modularity_level):
         prices = []
         check = _batch.check_scan_bytes
 
@@ -624,10 +624,10 @@ class TestScanLimit:
         monkeypatch.setattr(_batch, "check_scan_bytes", spy)
         for m in mats:
             del prices[:]
-            want = modularity_level(m)  # fills the caches shared between scans
+            want = scan(m)  # fills the caches shared between scans
             tracemalloc.start()
             try:
-                got = modularity_level(m)
+                got = scan(m)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -645,6 +645,65 @@ class TestScanLimit:
 
     def test_price_covers_what_a_scan_allocates(self, monkeypatch):
         self._peaks_within_price(monkeypatch, self._priced_inputs())
+
+    def test_price_covers_bounded_scans_in_wide_batches(self, monkeypatch):
+        # the delta 4, rank 7 construction of (3) with one more column: 19
+        # extras, so levels 5 and 6 build up to 13 and 3 rows a batch. A
+        # column of the (2, 1) construction refutes it, and its last column
+        # negated keeps it 4-modular, after every family
+        a = families.build_A(4, (3,), 7).matrix.columns()
+        foreign = next(c for c in families.build_A(4, (2, 1), 7).matrix.columns()
+                       if not any(exact.is_parallel(c, x) for x in a))
+        mats = [IntMatrix.from_cols(a + [c]) for c in (foreign, tuple(-v for v in a[-1]))]
+        built = []
+        build = modularity._SubsetScan._build_level
+
+        def spy(scan, masks, t):
+            built.append((t, len(masks)))
+            build(scan, masks, t)
+
+        monkeypatch.setattr(modularity._SubsetScan, "_build_level", spy)
+        assert [is_delta_modular(m, 4)[0] for m in mats] == [False, True]
+        for t in (5, 6):
+            assert max(n for k, n in built if k == t) > 1 < modularity._blocks(19, t)[1]
+        monkeypatch.setattr(modularity._SubsetScan, "_build_level", build)
+        self._peaks_within_price(monkeypatch, mats, lambda m: is_delta_modular(m, 4))
+
+    def test_wide_batches_build_the_row_by_row_store(self, monkeypatch):
+        # the whole 7 x 24 int32 store of the delta 5, rank 7 construction
+        # of (4), in batches of up to 35 rows and row by row: entry for
+        # entry the same, with the einsum and the matmul blocks both built
+        # for batches of several rows
+        m = families.build_A(5, (4,), 7).matrix
+        cols = m.columns()
+        x = np.array([cols[j] for j in _split_identity_anchored(m).extras], dtype=np.int32).T
+        rows = []
+
+        def spying(fn, coef):
+            def spy(*args, **kw):
+                rows.append((fn, args[coef].shape[0]))
+                return fn(*args, **kw)
+            return spy
+
+        einsum, matmul = np.einsum, np.matmul
+        monkeypatch.setattr(np, "einsum", spying(einsum, 1))
+        monkeypatch.setattr(np, "matmul", spying(matmul, 0))
+        caches = (modularity._blocks, modularity._store_layout)
+        stores = []
+        try:
+            for entries, widest in ((modularity._BATCH_ENTRIES, (32, 35)), (0, (1, 1))):
+                monkeypatch.setattr(modularity, "_BATCH_ENTRIES", entries)
+                for f in caches:
+                    f.cache_clear()
+                del rows[:]
+                store = modularity._SubsetScan(x, (), None, 7)
+                store._build([0b1111111], 7)
+                stores.append(store.levels[2:])
+                assert tuple(max(n for f, n in rows if f is g) for g in (einsum, matmul)) == widest
+        finally:
+            for f in caches:
+                f.cache_clear()
+        assert [a.tolist() for a in stores[0]] == [a.tolist() for a in stores[1]]
 
     def test_price_covers_a_scan_row_by_row(self, monkeypatch):
         caches = (modularity._blocks, modularity._store_layout)

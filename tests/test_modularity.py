@@ -420,8 +420,10 @@ def test_family_count_of_a_construction_scan(monkeypatch):
     # each family that the scan inspects puts its last part on the DFS
     # path once, zero families included: the scan of the (4) construction
     # at delta 5, rank 7 visits 4,139, by node blocks with no bound and
-    # family by family under one that no minor passes
-    families = []
+    # family by family under one that no minor passes. Only the root and
+    # the 876 families that can have kids open a ``_rec`` frame, and
+    # ``stats`` reports both counts
+    families, frames = [], []
 
     class Path(list):
         def append(self, mask):
@@ -433,10 +435,17 @@ def test_family_count_of_a_construction_scan(monkeypatch):
             super().__init__(*args)
             self.path = Path()
 
+        def _rec(self, used, kids, trans):
+            frames.append(used)
+            super()._rec(used, kids, trans)
+
     monkeypatch.setattr(modularity, "_SubsetScan", Counted)
     m = build_A(5, (4,), 7).matrix
-    assert modularity_level(m).delta == 5
-    assert len(families) == 4139
-    del families[:]
-    assert is_delta_modular(m, 5) == (True, None)
-    assert len(families) == 4139
+    for scan in (lambda stats: modularity_level(m, stats).delta == 5,
+                 lambda stats: is_delta_modular(m, 5, stats) == (True, None)):
+        del families[:], frames[:]
+        stats = {}
+        assert scan(stats)
+        assert len(families) == 4139 and len(frames) == 877
+        assert stats == {"strategy": "identity-anchored", "dtype": "int32",
+                         "families": 4139, "frames": 877, "storeRows": 120}
