@@ -391,7 +391,10 @@ class _SubsetScan:
         for a, b in shapes:
             self.levels.append(buf[start:start + a * b].reshape(a, b))
             start += a * b
-        self.built = {1 << i for i in range(x.shape[0])}
+        # rows[R] = a view of the store row of R, made once when R is built
+        # (R is built iff it is a key). A new view at every term of a sum
+        # took about 3% more CPU on each delta 5, rank 7 construction.
+        self.rows = {1 << i: row for i, row in enumerate(x)}
         self.free = _free_parts(conn)
         self.families = self.frames = 0  # families inspected, ``_rec`` calls
 
@@ -455,18 +458,18 @@ class _SubsetScan:
         found only for a kid that beats the best so far and every kid
         before it, the only kids that can raise the best. A kid whose
         minors do not all vanish gets its kids (``_kids``), and when it has
-        some, its transversals: a one-row kid's are its single's. The block dies
-        here, so no block is alive while a deeper node is evaluated."""
+        some, its transversals: a one-row kid's are its single's. The block
+        dies here, so no block is alive while a deeper node is evaluated."""
         t = depth + 1
         masks = [mask for _, mask in kids]
         union = 0
         for mask in masks:
             union |= mask
         singles = {i: _grow(trans, (i,)) for i in _row_set(union)[1]}
-        missing = [rs for ts in singles.values() for rs, _ in ts if rs not in self.built]
+        missing = [rs for ts in singles.values() for rs, _ in ts if rs not in self.rows]
         if missing:
             self._build(missing, t)
-        level = self.levels[t]
+        level, rows = self.levels[t], self.rows
         # block rows: the kids in order, then the helper singles, the rows
         # whose one-row part is no kid; a one-row kid is its single
         pos = {mask: k for k, mask in enumerate(masks)}
@@ -477,9 +480,9 @@ class _SubsetScan:
         for i, ((rs, s), *others) in singles.items():
             k = pos[1 << i]
             out = block[k]
-            acc = level[_row_set(rs)[0]]
+            acc = rows[rs]
             for rs, s_rs in others:
-                acc = (np.add if s_rs == s else np.subtract)(acc, level[_row_set(rs)[0]], out=out)
+                acc = (np.add if s_rs == s else np.subtract)(acc, rows[rs], out=out)
             if not others:
                 np.copyto(out, acc)
             sign[k] = s
@@ -525,16 +528,15 @@ class _SubsetScan:
         the transversals; None when every minor is zero. The sum ends here,
         so no family's sum is alive while a store row is built."""
         child = _grow(trans, _row_set(mask)[1])
-        missing = [rs for rs, _ in child if rs not in self.built]
+        missing = [rs for rs, _ in child if rs not in self.rows]
         if missing:
             self._build(missing, depth + 1)
-        level = self.levels[depth + 1]
+        rows = self.rows
         (rs, first), *others = child
-        values = level[_row_set(rs)[0]]
+        values = rows[rs]
         out = None  # the first sum allocates the result, the others add into it
         for rs, s in others:  # signs relative to the first leave |values| alone
-            values = out = (np.add if s == first else np.subtract)(
-                values, level[_row_set(rs)[0]], out=out)
+            values = out = (np.add if s == first else np.subtract)(values, rows[rs], out=out)
         hi, lo = int(np.maximum.reduce(values)), int(np.minimum.reduce(values))
         if hi == lo == 0:
             return None
@@ -546,7 +548,7 @@ class _SubsetScan:
         todo = [masks]
         for _ in range(t, 2, -1):
             subs = {mk & ~(1 << i) for mk in todo[-1] for i in _row_set(mk)[1]}
-            todo.append([mk for mk in subs if mk not in self.built])
+            todo.append([mk for mk in subs if mk not in self.rows])
         for k, level_masks in zip(range(t - len(todo) + 1, t + 1), reversed(todo)):
             if level_masks:
                 self._build_level(level_masks, k)
@@ -581,7 +583,7 @@ class _SubsetScan:
             if n > 1:
                 level[[m[0] for m in meta]] = out
             del coef, subs, out  # before the next batch: one batch is priced
-        self.built.update(masks)
+        self.rows.update((mk, level[_row_set(mk)[0]]) for mk in masks)
 
     def _inspect(self, values: np.ndarray, hi: int, lo: int, k: int) -> None:
         """Raise the first minor above the bound; else keep the family's
@@ -619,7 +621,7 @@ def _scan_identity(m: IntMatrix, split: _Split, bound: int | None,
             value, hit = h.value, (h.family, h.combo)
         if stats is not None:
             stats.update(dtype=str(dtype), families=scan.families, frames=scan.frames,
-                         storeRows=len(scan.built) - r)
+                         storeRows=len(scan.rows) - r)
     return value, checked_witness(m, *_witness_cols(*hit, split, r), value)
 
 

@@ -608,9 +608,9 @@ class TestScanLimit:
         # B = 1002 and 3! * 1002**3 > 2**31: int64, 100 * 8 = 800 bytes
         self._refused_at(monkeypatch, [1, -1, 1000], 800)
 
-    # A scan's Python objects (transversal lists, the set of built rows,
-    # array headers) are not priced: about 8 KiB for the tiered matrices
-    # and 19 KiB at rank 7.
+    # A scan's Python objects (transversal lists, the views of built store
+    # rows, array headers) are not priced: about 8 KiB for the tiered
+    # matrices and 42 KiB at rank 7.
     UNPRICED_BYTES = 64 * 1024
 
     def _peaks_within_price(self, monkeypatch, mats, scan=modularity_level):
