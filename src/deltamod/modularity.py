@@ -294,6 +294,40 @@ def _store_layout(r: int, nx: int, depth: int, dtype: np.dtype):
     return shapes, _batch.array_bytes(entries, dtype)
 
 
+# The byte buffer of the last finished scan's store, which the next scan
+# takes (``_store_buffer``). A freed store was reused only while the heap
+# kept its hole: in the benchmark's passes over the six delta 5, rank 7
+# constructions, small allocations that outlive a pass split it after 66
+# to 78 passes, the next store was placed above it, and the peak RSS rose
+# by 5.2 MiB at that pass. One
+# buffer at most, and none above 32 MiB, glibc's largest mmap threshold:
+# stores that large were mapped and unmapped per scan anyway.
+_SPARE_STORE: list[np.ndarray] = []
+_SPARE_STORE_BYTES = 1 << 25
+
+
+def _store_buffer(entries: int, dtype: np.dtype) -> tuple[np.ndarray | None, np.ndarray]:
+    """(bytes to hand back with ``_keep_store``, or None; ``entries``
+    entries of ``dtype`` in them). Exact Python ints get a new array."""
+    if dtype == object:
+        return None, np.empty(entries, dtype)
+    need = entries * dtype.itemsize
+    try:
+        raw = _SPARE_STORE.pop()  # atomic: two threads never share a buffer
+    except IndexError:
+        raw = None
+    if raw is None or raw.size < need:
+        raw = None  # a smaller spare dies before the new buffer is made
+        raw = np.empty(need, np.uint8)
+    return raw, raw[:need].view(dtype)
+
+
+def _keep_store(raw: np.ndarray | None) -> None:
+    """Keep a finished scan's store bytes for the next scan."""
+    if raw is not None and raw.size <= _SPARE_STORE_BYTES and not _SPARE_STORE:
+        _SPARE_STORE.append(raw)
+
+
 # Shared by every scan: a table per scan raised the `extend` benchmark's
 # p50_ms from 1.21 to 1.33 ms (medians of 6 alternating runs).
 @lru_cache(maxsize=4)
@@ -381,11 +415,11 @@ class _SubsetScan:
         self.path: list[int] = []
         # levels[t][rank(R)] = det X[R, S] over the t-subsets S; level 1 is X.
         # Levels 2.. are views of one buffer, whose rows are written before
-        # they are read; the next scan reuses the block without page faults
-        # (one array per level: 2,536 faults per full 7 x 24 store, about
-        # 6 ms on a 2-core VM).
+        # they are read; the next scan takes it from ``_store_buffer``
+        # without page faults (a new 7 x 24 store: 2,536 faults, about 6 ms
+        # on a 2-core VM).
         shapes = _store_layout(x.shape[0], nx, max_depth, x.dtype)[0]
-        buf = np.empty(sum(a * b for a, b in shapes), dtype=x.dtype)
+        self.raw, buf = _store_buffer(sum(a * b for a, b in shapes), x.dtype)
         self.levels = [None, x]
         start = 0
         for a, b in shapes:
@@ -619,6 +653,7 @@ def _scan_identity(m: IntMatrix, split: _Split, bound: int | None,
             value, hit = scan.best, scan.best_at
         except _ScanHit as h:
             value, hit = h.value, (h.family, h.combo)
+        _keep_store(scan.raw)
         if stats is not None:
             stats.update(dtype=str(dtype), families=scan.families, frames=scan.frames,
                          storeRows=len(scan.rows) - r)

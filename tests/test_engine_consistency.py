@@ -625,6 +625,7 @@ class TestScanLimit:
         for m in mats:
             del prices[:]
             want = scan(m)  # fills the caches shared between scans
+            modularity._SPARE_STORE.clear()  # the traced scan makes its store
             tracemalloc.start()
             try:
                 got = scan(m)

@@ -400,7 +400,8 @@ def test_parallel_violations_listing():
 
 def test_scan_frees_its_store():
     # with the cycle collector off, a scan object caught in a reference
-    # cycle would live on; its minor store (about 0.4 MiB here) must not
+    # cycle would live on; its minor store (about 0.4 MiB here) must not,
+    # beyond the one spare buffer that the next scan takes
     m = build_A(4, (3,), 6).matrix
     gc.disable()
     tracemalloc.start()
@@ -414,6 +415,38 @@ def test_scan_frees_its_store():
         tracemalloc.stop()
         gc.enable()
     assert grown < 64 * 1024
+
+
+def test_scans_share_one_spare_store(monkeypatch):
+    # a finished scan leaves its store bytes for the next scan, which
+    # takes them when they are large enough, in either fixed-width dtype,
+    # and writes each row before it reads it: on a spare full of another
+    # scan's minors a scan gives what it gives on a new buffer. Stores of
+    # exact ints, and bytes above the cap, are not kept
+    monkeypatch.setattr(modularity, "_SPARE_STORE", [])
+    spare = modularity._SPARE_STORE
+    rng = random.Random(4242)
+    wide = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -1, 0],
+            [rng.randint(-3, 3) for _ in range(3)], [rng.randint(-3, 3) for _ in range(3)]]
+    mats = [build_A(5, (4,), 6).matrix, build_A(4, (3,), 5).matrix,
+            IntMatrix.from_cols(wide + [[1000, 3, -4]]),      # int64
+            IntMatrix.from_cols(wide + [[2 ** 21, 3, -4]])]   # exact ints
+    fresh, dtypes = [], []
+    for m in mats:
+        spare.clear()
+        stats = {}
+        fresh.append(modularity_level(m, stats))
+        dtypes.append(stats["dtype"])
+    assert dtypes == ["int32", "int32", "int64", "object"]
+    spare.clear()
+    assert modularity_level(mats[0]) == fresh[0] and len(spare) == 1
+    kept = spare[0]
+    for m, want in zip(mats[1:], fresh[1:]):
+        assert modularity_level(m) == want
+        assert len(spare) == 1 and spare[0] is kept
+    monkeypatch.setattr(modularity, "_SPARE_STORE_BYTES", kept.size - 1)
+    spare.clear()
+    assert modularity_level(mats[0]) == fresh[0] and spare == []
 
 
 def test_family_count_of_a_construction_scan(monkeypatch):
